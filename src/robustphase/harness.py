@@ -24,11 +24,11 @@ import csv
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InvalidInputError
 from .metrics import is_success
-from .model import CorruptionSpec, OutlierModel, Placement, derive_seed, generate_problem
+from .model import CorruptionSpec, OutlierModel, derive_seed, generate_problem
 from .solvers import Algorithm, IterateTrace, SolverConfig, run_solver
 
 __all__ = [
@@ -66,13 +66,6 @@ ALGORITHM_CODES = {
     Algorithm.PLAIN_RWF: 3,
     Algorithm.TRIMEAN_TWF: 4,
 }
-
-RESULT_HEADER = (
-    "experiment,algorithm,n,m,s,eta_max_rel,w_max_rel,seed,"
-    "success,final_rel_err,iterations,wall_time_ms"
-)
-ITERATION_HEADER = "experiment,algorithm,n,m,seed,t,rel_err,kept,median_stat"
-
 
 @dataclass(frozen=True)
 class TrialCell:
@@ -136,7 +129,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One summary CSV row; field order matches RESULT_HEADER."""
+    """One summary CSV row; its fields, in order, are the CSV columns."""
 
     experiment: str
     algorithm: str
@@ -154,7 +147,7 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class IterationRow:
-    """One per-iteration CSV row; field order matches ITERATION_HEADER."""
+    """One per-iteration CSV row; its fields, in order, are the CSV columns."""
 
     experiment: str
     algorithm: str
@@ -167,15 +160,16 @@ class IterationRow:
     median_stat: float
 
 
+RESULT_HEADER = ",".join(f.name for f in fields(ResultRow))
+ITERATION_HEADER = ",".join(f.name for f in fields(IterationRow))
+
+
 @dataclass(frozen=True)
 class _Task:
     cell: TrialCell
     algorithm: Algorithm
     trial_seed: int
-    fixed_T: bool
-    max_iters: int
-    tol: float
-    timing: bool
+    cfg: ExperimentConfig
     want_trace: bool
 
 
@@ -263,50 +257,18 @@ def _trace_rows(row: ResultRow, trace: IterateTrace) -> list[IterationRow]:
 
 
 def _run_task(task: _Task) -> tuple[ResultRow, list[IterationRow]]:
+    cfg = task.cfg
     row, trace = run_trial(
         task.cell,
         task.algorithm,
         task.trial_seed,
-        fixed_T=task.fixed_T,
-        max_iters=task.max_iters,
-        tol=task.tol,
-        timing=task.timing,
+        fixed_T=cfg.fixed_T,
+        max_iters=cfg.max_iters,
+        tol=cfg.tol,
+        timing=cfg.timing,
     )
     iter_rows = _trace_rows(row, trace) if (task.want_trace and trace) else []
     return row, iter_rows
-
-
-def _build_tasks(
-    cfg: ExperimentConfig,
-    cells: list[TrialCell],
-    algorithms_per_cell: list[tuple[Algorithm, ...]],
-    want_trace: bool,
-) -> list[_Task]:
-    exp_code = EXPERIMENT_CODES[cfg.experiment]
-    tasks = []
-    for cell_index, (cell, algorithms) in enumerate(zip(cells, algorithms_per_cell)):
-        for algorithm in algorithms:
-            for trial in range(cfg.trials):
-                seed = derive_seed(
-                    cfg.master_seed,
-                    exp_code,
-                    cell_index,
-                    ALGORITHM_CODES[algorithm],
-                    trial,
-                )
-                tasks.append(
-                    _Task(
-                        cell=cell,
-                        algorithm=algorithm,
-                        trial_seed=seed,
-                        fixed_T=cfg.fixed_T,
-                        max_iters=cfg.max_iters,
-                        tol=cfg.tol,
-                        timing=cfg.timing,
-                        want_trace=want_trace,
-                    )
-                )
-    return tasks
 
 
 def _execute(tasks: list[_Task], threads: int) -> list[tuple[ResultRow, list[IterationRow]]]:
@@ -319,59 +281,84 @@ def _execute(tasks: list[_Task], threads: int) -> list[tuple[ResultRow, list[Ite
         return list(pool.map(_run_task, tasks, chunksize=chunk))
 
 
-def _run(cfg: ExperimentConfig, cells, algorithms_per_cell, want_trace=False):
-    tasks = _build_tasks(cfg, cells, algorithms_per_cell, want_trace)
+def _run(
+    cfg: ExperimentConfig,
+    cells: list[TrialCell],
+    algorithms_per_cell: list[tuple[Algorithm, ...]],
+    want_trace: bool = False,
+) -> tuple[list[ResultRow], list[IterationRow]]:
+    exp_code = EXPERIMENT_CODES[cfg.experiment]
+    tasks = [
+        _Task(
+            cell,
+            algorithm,
+            derive_seed(cfg.master_seed, exp_code, cell_index, ALGORITHM_CODES[algorithm], trial),
+            cfg,
+            want_trace,
+        )
+        for cell_index, (cell, algorithms) in enumerate(zip(cells, algorithms_per_cell))
+        for algorithm in algorithms
+        for trial in range(cfg.trials)
+    ]
     results = _execute(tasks, cfg.threads)
     rows = [r for r, _ in results]
     iter_rows = [ir for _, irs in results for ir in irs]
     return rows, iter_rows
 
 
-def _base_spec(cfg: ExperimentConfig) -> CorruptionSpec:
-    return CorruptionSpec(
-        outlier_fraction=cfg.s_values[0],
-        outlier_model=OutlierModel.UNIFORM,
-        placement=Placement.BERNOULLI,
-        eta_max_rel=cfg.eta_values[0],
-        w_max_rel=cfg.w_values[0],
-    )
-
-
-def single(cfg: ExperimentConfig) -> list[ResultRow]:
-    """One cell per (n, m) pair with the first s/eta/w values."""
-    spec = _base_spec(cfg)
+def _sweep(
+    cfg: ExperimentConfig, experiment_id: str, s_values, eta_values
+) -> list[ResultRow]:
+    """Result rows over uniform-outlier cells ordered s -> eta -> (n, m)."""
     cells = [
-        TrialCell("single", n, m, spec) for n, m in _pair_dims(cfg)
+        TrialCell(
+            experiment_id,
+            n,
+            m,
+            CorruptionSpec(outlier_fraction=s, eta_max_rel=eta, w_max_rel=cfg.w_values[0]),
+        )
+        for s in s_values
+        for eta in eta_values
+        for n, m in _pair_dims(cfg)
     ]
     rows, _ = _run(cfg, cells, [cfg.algorithms] * len(cells))
     return rows
 
 
+def _reference_curves(
+    cfg: ExperimentConfig, variants: list[tuple[str, CorruptionSpec, CorruptionSpec]]
+) -> list[IterationRow]:
+    """Per-iteration rows for (tag, corrupted, clean) variants.
+
+    Each variant runs, per (n, m), the configured algorithms on the
+    ``<tag>:corrupted`` cell and then the mean-statistic baseline alone on
+    the ``<tag>:clean`` reference cell.
+    """
+    cells: list[TrialCell] = []
+    algos: list[tuple[Algorithm, ...]] = []
+    for tag, corrupted, clean in variants:
+        for n, m in _pair_dims(cfg):
+            cells.append(TrialCell(f"{tag}:corrupted", n, m, corrupted))
+            algos.append(cfg.algorithms)
+            cells.append(TrialCell(f"{tag}:clean", n, m, clean))
+            algos.append((Algorithm.MEAN_TWF,))
+    _, iter_rows = _run(cfg, cells, algos, want_trace=True)
+    return iter_rows
+
+
+def single(cfg: ExperimentConfig) -> list[ResultRow]:
+    """One cell per (n, m) pair with the first s/eta/w values."""
+    return _sweep(cfg, "single", cfg.s_values[:1], cfg.eta_values[:1])
+
+
 def phase_grid(cfg: ExperimentConfig) -> list[ResultRow]:
     """Success counts over the (n, m/n) grid, noise-free by default."""
-    spec = _base_spec(cfg)
-    cells = [TrialCell("phase_grid", n, m, spec) for n, m in _pair_dims(cfg)]
-    rows, _ = _run(cfg, cells, [cfg.algorithms] * len(cells))
-    return rows
+    return _sweep(cfg, "phase_grid", cfg.s_values[:1], cfg.eta_values[:1])
 
 
 def outlier_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """Success rates over the s grid crossed with eta levels."""
-    cells = []
-    for s in cfg.s_values:
-        for eta in cfg.eta_values:
-            spec = CorruptionSpec(
-                outlier_fraction=s,
-                outlier_model=OutlierModel.UNIFORM,
-                placement=Placement.BERNOULLI,
-                eta_max_rel=eta,
-                w_max_rel=cfg.w_values[0],
-            )
-            cells.extend(
-                TrialCell("outlier_sweep", n, m, spec) for n, m in _pair_dims(cfg)
-            )
-    rows, _ = _run(cfg, cells, [cfg.algorithms] * len(cells))
-    return rows
+    return _sweep(cfg, "outlier_sweep", cfg.s_values, cfg.eta_values)
 
 
 def noise_curve(cfg: ExperimentConfig) -> list[IterationRow]:
@@ -382,45 +369,31 @@ def noise_curve(cfg: ExperimentConfig) -> list[IterationRow]:
     and the mean-statistic baseline additionally runs on the dense noise
     alone as the reference curve.
     """
-    s = cfg.s_values[0]
-    cells: list[TrialCell] = []
-    algos: list[tuple[Algorithm, ...]] = []
-    for w in cfg.w_values:
-        corrupted = CorruptionSpec(
-            outlier_fraction=s,
-            outlier_model=OutlierModel.NOISE_NORM,
-            placement=Placement.BERNOULLI,
-            w_max_rel=w,
-        )
-        clean = CorruptionSpec(w_max_rel=w)
-        for n, m in _pair_dims(cfg):
-            cells.append(TrialCell(f"noise_curve:w={w:g}:corrupted", n, m, corrupted))
-            algos.append(cfg.algorithms)
-            cells.append(TrialCell(f"noise_curve:w={w:g}:clean", n, m, clean))
-            algos.append((Algorithm.MEAN_TWF,))
-    _, iter_rows = _run(cfg, cells, algos, want_trace=True)
-    return iter_rows
+    return _reference_curves(
+        cfg,
+        [
+            (
+                f"noise_curve:w={w:g}",
+                CorruptionSpec(
+                    outlier_fraction=cfg.s_values[0],
+                    outlier_model=OutlierModel.NOISE_NORM,
+                    w_max_rel=w,
+                ),
+                CorruptionSpec(w_max_rel=w),
+            )
+            for w in cfg.w_values
+        ],
+    )
 
 
 def poisson_experiment(cfg: ExperimentConfig) -> list[IterationRow]:
     """Per-iteration error under Poisson counts, with and without outliers."""
-    s = cfg.s_values[0]
     corrupted = CorruptionSpec(
-        outlier_fraction=s,
+        outlier_fraction=cfg.s_values[0],
         outlier_model=OutlierModel.INTEGER_UNIFORM,
-        placement=Placement.BERNOULLI,
         poisson=True,
     )
-    clean = CorruptionSpec(poisson=True)
-    cells: list[TrialCell] = []
-    algos: list[tuple[Algorithm, ...]] = []
-    for n, m in _pair_dims(cfg):
-        cells.append(TrialCell("poisson:corrupted", n, m, corrupted))
-        algos.append(cfg.algorithms)
-        cells.append(TrialCell("poisson:clean", n, m, clean))
-        algos.append((Algorithm.MEAN_TWF,))
-    _, iter_rows = _run(cfg, cells, algos, want_trace=True)
-    return iter_rows
+    return _reference_curves(cfg, [("poisson", corrupted, CorruptionSpec(poisson=True))])
 
 
 def _fmt(value) -> str:
@@ -562,22 +535,19 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (InvalidInputError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    # Built per call so rebound module attributes (perfbench's tracer wraps
+    # the writers) are the ones that run.
+    experiments = {
+        "single": (single, write_result_csv),
+        "phase_grid": (phase_grid, write_result_csv),
+        "outlier_sweep": (outlier_sweep, write_result_csv),
+        "noise_curve": (noise_curve, write_iteration_csv),
+        "poisson": (poisson_experiment, write_iteration_csv),
+    }
+    run, write = experiments[cfg.experiment]
     try:
-        if cfg.experiment == "single":
-            rows = single(cfg)
-            write_result_csv(rows, cfg.out)
-        elif cfg.experiment == "phase_grid":
-            rows = phase_grid(cfg)
-            write_result_csv(rows, cfg.out)
-        elif cfg.experiment == "outlier_sweep":
-            rows = outlier_sweep(cfg)
-            write_result_csv(rows, cfg.out)
-        elif cfg.experiment == "noise_curve":
-            rows = noise_curve(cfg)
-            write_iteration_csv(rows, cfg.out)
-        else:
-            rows = poisson_experiment(cfg)
-            write_iteration_csv(rows, cfg.out)
+        rows = run(cfg)
+        write(rows, cfg.out)
     except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1

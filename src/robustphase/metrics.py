@@ -34,10 +34,13 @@ def _pair(z, x) -> tuple[np.ndarray, np.ndarray]:
     return z, x
 
 
+def _dist(z: np.ndarray, x: np.ndarray) -> float:
+    return float(min(np.linalg.norm(z - x), np.linalg.norm(z + x)))
+
+
 def dist(z, x) -> float:
     """Distance up to global sign: min(||z - x||, ||z + x||)."""
-    z, x = _pair(z, x)
-    return float(min(np.linalg.norm(z - x), np.linalg.norm(z + x)))
+    return _dist(*_pair(z, x))
 
 
 def relative_error(z, x) -> float:
@@ -46,7 +49,7 @@ def relative_error(z, x) -> float:
     x_norm = float(np.linalg.norm(x))
     if x_norm == 0.0:
         raise InvalidInputError("relative error is undefined for a zero signal")
-    return dist(z, x) / x_norm
+    return _dist(z, x) / x_norm
 
 
 def is_success(outcome_error: float, tol: float = 1e-8) -> bool:

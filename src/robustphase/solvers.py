@@ -15,6 +15,9 @@ the loss and in how samples are screened before entering the gradient:
   respectively the mean after discarding the ceil(s*m) largest residuals.
 * plain RWF: the amplitude gradient summed over every sample, no screening.
 
+One kernel, ``_screened_gradient(loss, statistic)``, computes all five; the
+public ``*_gradient`` functions name its (loss, statistic) pairs.
+
 The mean-statistic and untruncated baselines are deliberate stand-ins for
 the published non-robust algorithms: close enough to reproduce their
 qualitative behavior (success without corruption, collapse under it), not
@@ -215,26 +218,34 @@ def _check_iterate(ensemble: SensingEnsemble, y, z) -> tuple[np.ndarray, np.ndar
     return y, z, z_norm
 
 
-def _intensity_gradient(
+def _screened_gradient(
     ensemble: SensingEnsemble,
     y,
     z,
     cfg: SolverConfig,
+    loss: str,
     statistic: str,
 ) -> tuple[np.ndarray, int, float]:
+    """The iteration every solver shares: (gradient, kept count, statistic).
+
+    ``loss`` is "intensity" or "amplitude"; ``statistic`` is "median",
+    "mean", "trimmed" or "none".  "none" screens nothing and reports the
+    median residual.  ``A z`` is computed once per call.
+    """
     y, z, z_norm = _check_iterate(ensemble, y, z)
     rows = ensemble.rows
     m = ensemble.m
     az = rows @ z
-    abs_az = np.abs(az)
-    resid = np.abs(y - az**2)
+    if loss == "intensity":
+        resid = np.abs(y - az**2)
+    else:
+        sqrt_y = np.sqrt(np.maximum(y, 0.0))
+        resid = np.abs(sqrt_y - np.abs(az))
 
     active = np.ones(m, dtype=bool)
-    if statistic == "median":
-        stat = sample_median(resid)
-    elif statistic == "mean":
+    if statistic == "mean":
         stat = float(resid.mean())
-    else:  # trimmed mean: discard the ceil(s*m) largest residuals first
+    elif statistic == "trimmed":  # discard the ceil(s*m) largest residuals first
         if cfg.known_s is None:
             raise InvalidInputError("trimean-twf requires known_s")
         drop = math.ceil(cfg.known_s * m)
@@ -244,12 +255,20 @@ def _intensity_gradient(
         if not active.any():
             return np.zeros(ensemble.n), 0, 0.0
         stat = float(resid[active].mean())
+    else:
+        stat = sample_median(resid)
 
-    e1 = (abs_az >= cfg.alpha_l * z_norm) & (abs_az <= cfg.alpha_u * z_norm)
-    e2 = resid <= cfg.alpha_h * stat * abs_az / z_norm
-    keep = active & e1 & e2
     coeff = np.zeros(m)
-    coeff[keep] = (az[keep] ** 2 - y[keep]) / az[keep]
+    if loss == "intensity":
+        abs_az = np.abs(az)
+        e1 = (abs_az >= cfg.alpha_l * z_norm) & (abs_az <= cfg.alpha_u * z_norm)
+        e2 = resid <= cfg.alpha_h * stat * abs_az / z_norm
+        keep = active & e1 & e2
+        coeff[keep] = (az[keep] ** 2 - y[keep]) / az[keep]
+    else:
+        keep = active if statistic == "none" else resid <= cfg.alpha_h_prime * stat
+        sign = np.where(az >= 0.0, 1.0, -1.0)
+        coeff[keep] = az[keep] - sqrt_y[keep] * sign[keep]
     gradient = rows.T @ coeff / m
     return gradient, int(keep.sum()), stat
 
@@ -258,14 +277,14 @@ def mtwf_gradient(
     ensemble: SensingEnsemble, y, z, cfg: SolverConfig
 ) -> tuple[np.ndarray, int, float]:
     """Median-truncated intensity gradient: (gradient, kept count, K_t)."""
-    return _intensity_gradient(ensemble, y, z, cfg, "median")
+    return _screened_gradient(ensemble, y, z, cfg, "intensity", "median")
 
 
 def twf_gradient(
     ensemble: SensingEnsemble, y, z, cfg: SolverConfig
 ) -> tuple[np.ndarray, int, float]:
     """Mean-statistic baseline gradient: (gradient, kept count, mean residual)."""
-    return _intensity_gradient(ensemble, y, z, cfg, "mean")
+    return _screened_gradient(ensemble, y, z, cfg, "intensity", "mean")
 
 
 def trimean_twf_gradient(
@@ -276,58 +295,36 @@ def trimean_twf_gradient(
     Discards the ceil(known_s * m) largest residuals outright, screens the
     remainder with the usual two events around the trimmed-mean statistic.
     """
-    return _intensity_gradient(ensemble, y, z, cfg, "trimmed")
-
-
-def _amplitude_parts(y: np.ndarray, az: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    sqrt_y = np.sqrt(np.maximum(y, 0.0))
-    resid = np.abs(sqrt_y - np.abs(az))
-    sign = np.where(az >= 0.0, 1.0, -1.0)
-    return sqrt_y, resid, sign
+    return _screened_gradient(ensemble, y, z, cfg, "intensity", "trimmed")
 
 
 def mrwf_gradient(
     ensemble: SensingEnsemble, y, z, cfg: SolverConfig
 ) -> tuple[np.ndarray, int, float]:
     """Median-truncated amplitude gradient: (gradient, kept count, M_t)."""
-    y, z, _ = _check_iterate(ensemble, y, z)
-    rows = ensemble.rows
-    m = ensemble.m
-    az = rows @ z
-    sqrt_y, resid, sign = _amplitude_parts(y, az)
-    stat = sample_median(resid)
-    keep = resid <= cfg.alpha_h_prime * stat
-    coeff = np.zeros(m)
-    coeff[keep] = az[keep] - sqrt_y[keep] * sign[keep]
-    gradient = rows.T @ coeff / m
-    return gradient, int(keep.sum()), stat
+    return _screened_gradient(ensemble, y, z, cfg, "amplitude", "median")
 
 
-def rwf_gradient(ensemble: SensingEnsemble, y, z) -> np.ndarray:
-    """Untruncated amplitude gradient over every sample."""
-    y, z, _ = _check_iterate(ensemble, y, z)
-    az = ensemble.rows @ z
-    sqrt_y, _, sign = _amplitude_parts(y, az)
-    return ensemble.rows.T @ (az - sqrt_y * sign) / ensemble.m
-
-
-def _gradient_with_stats(
+def rwf_gradient(
     ensemble: SensingEnsemble, y, z, cfg: SolverConfig
 ) -> tuple[np.ndarray, int, float]:
-    alg = cfg.algorithm
-    if alg is Algorithm.MEDIAN_TWF:
-        return mtwf_gradient(ensemble, y, z, cfg)
-    if alg is Algorithm.MEAN_TWF:
-        return twf_gradient(ensemble, y, z, cfg)
-    if alg is Algorithm.TRIMEAN_TWF:
-        return trimean_twf_gradient(ensemble, y, z, cfg)
-    if alg is Algorithm.MEDIAN_RWF:
-        return mrwf_gradient(ensemble, y, z, cfg)
-    gradient = rwf_gradient(ensemble, y, z)
-    _, resid, _ = _amplitude_parts(
-        np.asarray(y, dtype=float), ensemble.rows @ np.asarray(z, dtype=float)
-    )
-    return gradient, ensemble.m, sample_median(resid)
+    """Untruncated amplitude gradient over every sample: (gradient, m, M_t).
+
+    M_t, the median amplitude residual, is reported but screens nothing.
+    """
+    return _screened_gradient(ensemble, y, z, cfg, "amplitude", "none")
+
+
+def _gradient_fn(algorithm: Algorithm):
+    # Built on each call rather than at import, so a rebound module
+    # attribute (perfbench's tracer wraps these names) is what runs.
+    return {
+        Algorithm.MEDIAN_TWF: mtwf_gradient,
+        Algorithm.MEDIAN_RWF: mrwf_gradient,
+        Algorithm.MEAN_TWF: twf_gradient,
+        Algorithm.PLAIN_RWF: rwf_gradient,
+        Algorithm.TRIMEAN_TWF: trimean_twf_gradient,
+    }[algorithm]
 
 
 def _initialize(problem: ProblemInstance, cfg: SolverConfig) -> InitResult:
@@ -368,10 +365,11 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
     stats: list[float] = []
     grad_norms: list[float] = []
     converged_at: int | None = None
+    gradient_fn = _gradient_fn(cfg.algorithm)
     t = 0
     while True:
         err = relative_error(z, x)
-        gradient, n_kept, stat = _gradient_with_stats(ensemble, y, z, cfg)
+        gradient, n_kept, stat = gradient_fn(ensemble, y, z, cfg)
         g_norm = float(np.linalg.norm(gradient))
         errors.append(err)
         kept.append(n_kept)
@@ -408,7 +406,7 @@ def rc_probe(
     regularity inequality <g, z - x*> >= (mu/2)||g||^2 + (lam/2) dist^2 for
     candidate constants.
     """
-    gradient, _, _ = _gradient_with_stats(ensemble, y, z, cfg)
+    gradient, _, _ = _gradient_fn(cfg.algorithm)(ensemble, y, z, cfg)
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
     aligned = x if np.linalg.norm(z - x) <= np.linalg.norm(z + x) else -x

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMeasurements, InvalidInputError
+from .errors import DegenerateMeasurements, InvalidInputError, NumericalFailure
 from .model import TAG_INIT, SensingEnsemble, derive_seed
 from .quantile import sample_median
 
@@ -69,6 +69,16 @@ def scale_estimate(y) -> float:
     return math.sqrt(med / MEDIAN_INTENSITY_CALIBRATION)
 
 
+def _surrogate_weights(y: np.ndarray, alpha_y: float, lambda0: float) -> tuple[np.ndarray, int]:
+    # (mask * y, number of kept samples) with mask_i = 1{|y_i| <= alpha_y^2 lambda0^2}.
+    mask = np.abs(y) <= (alpha_y * lambda0) ** 2
+    return np.where(mask, y, 0.0), int(np.count_nonzero(mask))
+
+
+def _weighted_apply(ensemble: SensingEnsemble, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return ensemble.rows.T @ (weights * (ensemble.rows @ v)) / ensemble.m
+
+
 def surrogate_apply(
     ensemble: SensingEnsemble,
     y: np.ndarray,
@@ -90,9 +100,8 @@ def surrogate_apply(
             f"shape mismatch: y {y.shape}, v {v.shape} vs ensemble "
             f"({ensemble.m}, {ensemble.n})"
         )
-    mask = np.abs(y) <= (alpha_y * lambda0) ** 2
-    weighted = np.where(mask, y, 0.0) * (ensemble.rows @ v)
-    return ensemble.rows.T @ weighted / ensemble.m
+    weights, _ = _surrogate_weights(y, alpha_y, lambda0)
+    return _weighted_apply(ensemble, weights, v)
 
 
 def leading_eigenvector(
@@ -110,6 +119,10 @@ def leading_eigenvector(
     the best iterate is returned flagged non-converged rather than raising:
     downstream theory only needs an approximate direction.
 
+    Raises:
+        NumericalFailure: the operator's output has an infinite or NaN norm,
+            so no direction can be recovered from it.
+
     Returns:
         (unit vector, iterations used, converged flag).
     """
@@ -124,6 +137,8 @@ def leading_eigenvector(
     for iters in range(1, max_iters + 1):
         w = apply(v)
         norm_w = np.linalg.norm(w)
+        if not math.isfinite(norm_w):
+            raise NumericalFailure(f"power iteration {iters}: operator output norm is {norm_w}")
         if norm_w == 0.0:
             # Operator annihilates the iterate; every direction is equally
             # good, so report the current one as converged.
@@ -145,12 +160,14 @@ def _spectral_init(
     max_iters: int,
     seed: int | None,
 ) -> InitResult:
+    if alpha_y <= 0.0:
+        raise InvalidInputError(f"alpha_y must be positive, got {alpha_y}")
     y = np.asarray(y, dtype=float)
     if y.shape != (ensemble.m,):
         raise InvalidInputError(
             f"measurement length {y.shape} does not match ensemble m={ensemble.m}"
         )
-    kept = int(np.count_nonzero(np.abs(y) <= (alpha_y * lambda0) ** 2))
+    weights, kept = _surrogate_weights(y, alpha_y, lambda0)
     if lambda0 == 0.0:
         # No scale information at all (e.g. all-zero y): flag rather than
         # fail so sweeps keep going.
@@ -165,11 +182,12 @@ def _spectral_init(
     if seed is None:
         seed = derive_seed(ensemble.seed, TAG_INIT)
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        return surrogate_apply(ensemble, y, alpha_y, lambda0, v)
-
     direction, iters, converged = leading_eigenvector(
-        apply, ensemble.n, tol=tol, max_iters=max_iters, seed=seed
+        lambda v: _weighted_apply(ensemble, weights, v),
+        ensemble.n,
+        tol=tol,
+        max_iters=max_iters,
+        seed=seed,
     )
     return InitResult(
         z0=lambda0 * direction,

@@ -516,6 +516,23 @@ def test_console_script_entry_point(tmp_path):
     assert out.exists()
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    package_root = str(Path(robustphase.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    out = tmp_path / "dash-m.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "robustphase", "single", "--n", "16", "--m", "48",
+         "--max-iters", "5", "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "wrote 1 rows" in proc.stdout
+    assert out.exists()
+
+
 def test_main_raises_system_exit(tmp_path, monkeypatch):
     out = tmp_path / "m.csv"
     monkeypatch.setattr(

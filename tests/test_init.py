@@ -11,6 +11,7 @@ from robustphase import (
     DegenerateMeasurements,
     InitResult,
     InvalidInputError,
+    NumericalFailure,
     SensingEnsemble,
     clean_measurements,
     generate_problem,
@@ -140,6 +141,24 @@ def test_power_iteration_budget_exhaustion_is_nonfatal():
     )
     assert not converged and iters == 1
     assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_power_iteration_rejects_non_finite_operator_output():
+    with pytest.raises(NumericalFailure):
+        leading_eigenvector(lambda u: np.full_like(u, np.inf), 3)
+    with pytest.raises(NumericalFailure):
+        leading_eigenvector(lambda u: np.full_like(u, np.nan), 3)
+
+
+def test_mean_init_overflow_raises_instead_of_zero_direction():
+    # With m <= 9 a single 1e200 outlier stays under the mean-based mask
+    # (alpha_y^2 * mean(y) >= 1e200), so it enters the surrogate and the
+    # squared norm of the operator's output overflows.
+    ens = sample_ensemble(4, 8, seed=1)
+    y = clean_measurements(ens, sample_signal(4, seed=2))
+    y[0] = 1e200
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
+        mean_spectral_init(ens, y)
 
 
 def test_power_iteration_rejects_bad_arguments():

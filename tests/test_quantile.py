@@ -8,11 +8,16 @@ produced by those oracles and are asserted against the implementation.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import robustphase
 from robustphase import (
     InvalidInputError,
     chi_square_quantile,
@@ -276,3 +281,21 @@ def test_chi_square_quantile_rejects_bad_levels():
     for p in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(InvalidInputError):
             chi_square_quantile(p)
+
+
+def test_harness_import_leaves_scipy_integrate_and_optimize_unloaded():
+    # A fresh interpreter: this test module itself imports scipy.integrate.
+    package_root = str(Path(robustphase.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, robustphase.harness; "
+         "print(','.join(m for m in ('scipy.integrate', 'scipy.optimize') "
+         "if m in sys.modules))"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -41,6 +41,7 @@ from robustphase import (
 MTWF = SolverConfig(algorithm=Algorithm.MEDIAN_TWF)
 MRWF = SolverConfig(algorithm=Algorithm.MEDIAN_RWF)
 TWF = SolverConfig(algorithm=Algorithm.MEAN_TWF)
+RWF = SolverConfig(algorithm=Algorithm.PLAIN_RWF)
 
 # Frozen closed-form values at the default thresholds (0.3, 5, 12).
 ZETA1_DEFAULT = 0.23696455777197656
@@ -134,7 +135,8 @@ def test_amplitude_gradients_vanish_at_truth():
     g, kept, stat = mrwf_gradient(ens, y, -x, MRWF)  # sign flip is also a truth
     np.testing.assert_allclose(g, np.zeros(10), atol=1e-12)
     assert stat == 0.0
-    np.testing.assert_allclose(rwf_gradient(ens, y, x), np.zeros(10), atol=1e-12)
+    g_rwf, _, _ = rwf_gradient(ens, y, x, RWF)
+    np.testing.assert_allclose(g_rwf, np.zeros(10), atol=1e-12)
 
 
 def test_mtwf_single_sample_hand_computation():
@@ -153,9 +155,8 @@ def test_mrwf_single_sample_hand_computation():
     np.testing.assert_allclose(g, [1.0, 0.0])
     assert kept == 1
     assert mt == 1.0
-    np.testing.assert_allclose(
-        rwf_gradient(ens, np.array([1.0]), np.array([2.0, 0.0])), [1.0, 0.0]
-    )
+    g_rwf, _, _ = rwf_gradient(ens, np.array([1.0]), np.array([2.0, 0.0]), RWF)
+    np.testing.assert_allclose(g_rwf, [1.0, 0.0])
 
 
 def test_gradients_reject_zero_iterate():
@@ -164,7 +165,7 @@ def test_gradients_reject_zero_iterate():
         with pytest.raises(InvalidInputError):
             fn(ens, y, np.zeros(10), MTWF)
     with pytest.raises(InvalidInputError):
-        rwf_gradient(ens, y, np.zeros(10))
+        rwf_gradient(ens, y, np.zeros(10), RWF)
     with pytest.raises(InvalidInputError):
         mtwf_gradient(ens, y[:-1], x, MTWF)
 
@@ -199,7 +200,8 @@ def test_rwf_equals_truncation_free_mrwf():
     z = sample_signal(7, seed=66)
     cfg = SolverConfig(algorithm=Algorithm.MEDIAN_RWF, alpha_h_prime=1e12)
     g_m, kept, _ = mrwf_gradient(ens, y, z, cfg)
-    np.testing.assert_array_equal(g_m, rwf_gradient(ens, y, z))
+    g_rwf, _, _ = rwf_gradient(ens, y, z, RWF)
+    np.testing.assert_array_equal(g_m, g_rwf)
     assert kept == 50
 
 
