@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 from .errors import InvalidInputError
 from .metrics import is_success
@@ -49,14 +51,6 @@ __all__ = [
     "cli_main",
     "main",
 ]
-
-EXPERIMENT_CODES = {
-    "single": 0,
-    "phase_grid": 1,
-    "outlier_sweep": 2,
-    "noise_curve": 3,
-    "poisson": 4,
-}
 
 # Stable algorithm codes for seed derivation; never reorder.
 ALGORITHM_CODES = {
@@ -99,7 +93,7 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENT_CODES:
+        if self.experiment not in EXPERIMENTS:
             raise InvalidInputError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise InvalidInputError(f"trials must be >= 1, got {self.trials}")
@@ -107,24 +101,29 @@ class ExperimentConfig:
             raise InvalidInputError(f"threads must be >= 1, got {self.threads}")
         if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol <= 0.0:
-            raise InvalidInputError(f"tol must be positive, got {self.tol}")
-        if not self.n_values or any(n < 1 for n in self.n_values):
+        if not 0.0 < self.tol < math.inf:
+            raise InvalidInputError(f"tol must be finite and positive, got {self.tol}")
+        if min(self.n_values, default=0) < 1:
             raise InvalidInputError("n grid must be nonempty with n >= 1")
         if self.m_values is None and not self.m_over_n:
             raise InvalidInputError("either an m grid or an m/n grid is required")
-        if self.m_values is not None and any(m < 1 for m in self.m_values):
-            raise InvalidInputError("m grid entries must be >= 1")
+        if self.m_values is not None and min(self.m_values, default=0) < 1:
+            raise InvalidInputError("m grid must be nonempty with m >= 1")
+        if any(not 0.0 < r < math.inf for r in self.m_over_n or ()):
+            raise InvalidInputError("m/n ratios must be finite and positive")
         if not self.s_values or not self.eta_values or not self.w_values:
             raise InvalidInputError("s, eta, and w grids must be nonempty")
-        for s in self.s_values:
-            if not 0.0 <= s < 0.5:
-                raise InvalidInputError(f"outlier fraction must lie in [0, 0.5), got {s}")
-        if any(e < 0 for e in self.eta_values) or any(w < 0 for w in self.w_values):
-            raise InvalidInputError("eta and w magnitudes must be nonnegative")
-        object.__setattr__(
-            self, "algorithms", tuple(Algorithm(a) for a in self.algorithms)
-        )
+        if not all(0.0 <= s < 0.5 for s in self.s_values):
+            raise InvalidInputError(f"outlier fractions must lie in [0, 0.5): {self.s_values}")
+        if not all(0.0 <= v < math.inf for v in (*self.eta_values, *self.w_values)):
+            raise InvalidInputError("eta and w magnitudes must be finite and nonnegative")
+        try:
+            algorithms = tuple(map(Algorithm, self.algorithms))
+        except ValueError as exc:
+            raise InvalidInputError(
+                f"{exc}; choose from " + ", ".join(a.value for a in Algorithm)
+            ) from None
+        object.__setattr__(self, "algorithms", algorithms)
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,6 @@ class _Task:
     algorithm: Algorithm
     trial_seed: int
     cfg: ExperimentConfig
-    want_trace: bool
 
 
 def _pair_dims(cfg: ExperimentConfig) -> list[tuple[int, int]]:
@@ -256,7 +254,7 @@ def _trace_rows(row: ResultRow, trace: IterateTrace) -> list[IterationRow]:
     return out
 
 
-def _run_task(task: _Task) -> tuple[ResultRow, list[IterationRow]]:
+def _run_task(task: _Task) -> list[ResultRow] | list[IterationRow]:
     cfg = task.cfg
     row, trace = run_trial(
         task.cell,
@@ -267,11 +265,12 @@ def _run_task(task: _Task) -> tuple[ResultRow, list[IterationRow]]:
         tol=cfg.tol,
         timing=cfg.timing,
     )
-    iter_rows = _trace_rows(row, trace) if (task.want_trace and trace) else []
-    return row, iter_rows
+    if not EXPERIMENTS[cfg.experiment].per_iteration:
+        return [row]
+    return _trace_rows(row, trace) if trace else []
 
 
-def _execute(tasks: list[_Task], threads: int) -> list[tuple[ResultRow, list[IterationRow]]]:
+def _execute(tasks: list[_Task], threads: int) -> list[list]:
     # executor.map preserves input order, so output rows are already in the
     # canonical (cell, algorithm, trial) order regardless of scheduling.
     if threads <= 1 or len(tasks) <= 1:
@@ -285,25 +284,25 @@ def _run(
     cfg: ExperimentConfig,
     cells: list[TrialCell],
     algorithms_per_cell: list[tuple[Algorithm, ...]],
-    want_trace: bool = False,
-) -> tuple[list[ResultRow], list[IterationRow]]:
-    exp_code = EXPERIMENT_CODES[cfg.experiment]
+) -> list:
+    """Rows for every (cell, algorithm, trial), in that order.
+
+    ``cfg.experiment`` picks the seed code and whether the rows are one
+    per trial or one per iteration.
+    """
+    exp_code = EXPERIMENTS[cfg.experiment].code
     tasks = [
         _Task(
             cell,
             algorithm,
             derive_seed(cfg.master_seed, exp_code, cell_index, ALGORITHM_CODES[algorithm], trial),
             cfg,
-            want_trace,
         )
         for cell_index, (cell, algorithms) in enumerate(zip(cells, algorithms_per_cell))
         for algorithm in algorithms
         for trial in range(cfg.trials)
     ]
-    results = _execute(tasks, cfg.threads)
-    rows = [r for r, _ in results]
-    iter_rows = [ir for _, irs in results for ir in irs]
-    return rows, iter_rows
+    return [row for rows in _execute(tasks, cfg.threads) for row in rows]
 
 
 def _sweep(
@@ -321,8 +320,7 @@ def _sweep(
         for eta in eta_values
         for n, m in _pair_dims(cfg)
     ]
-    rows, _ = _run(cfg, cells, [cfg.algorithms] * len(cells))
-    return rows
+    return _run(cfg, cells, [cfg.algorithms] * len(cells))
 
 
 def _reference_curves(
@@ -342,8 +340,7 @@ def _reference_curves(
             algos.append(cfg.algorithms)
             cells.append(TrialCell(f"{tag}:clean", n, m, clean))
             algos.append((Algorithm.MEAN_TWF,))
-    _, iter_rows = _run(cfg, cells, algos, want_trace=True)
-    return iter_rows
+    return _run(cfg, cells, algos)
 
 
 def single(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -418,45 +415,37 @@ def write_iteration_csv(rows: list[IterationRow], path: str) -> None:
     _write_csv(path, ITERATION_HEADER, rows)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+class _Experiment(NamedTuple):
+    code: int  # seed-derivation code; never renumber
+    run: Callable[[ExperimentConfig], list]
+    per_iteration: bool  # writes IterationRow, not ResultRow, rows
+    grid: dict  # CLI defaults where they differ from ExperimentConfig's
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def _parse_algos(text: str) -> tuple[Algorithm, ...]:
-    names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    try:
-        return tuple(Algorithm(name) for name in names)
-    except ValueError as exc:
-        raise InvalidInputError(
-            f"unknown algorithm in {text!r}; choose from "
-            + ", ".join(a.value for a in Algorithm)
-        ) from exc
-
-
-_DEFAULTS = {
-    "single": dict(n="64", m_over_n="6", trials=1, algos="median-twf", s="0", eta="0", w="0"),
-    "phase-grid": dict(
-        n="64,128", m_over_n="2,3,4,5,6", trials=20,
-        algos="median-twf,median-rwf,twf,rwf", s="0", eta="0", w="0",
-    ),
-    "outlier-sweep": dict(
-        n="64", m_over_n="8", trials=100,
-        algos="median-twf,median-rwf,twf,trimean-twf",
-        s="0.05,0.1,0.15,0.2", eta="1", w="0",
-    ),
-    "noise-curve": dict(
-        n="64", m_over_n="8", trials=1,
-        algos="median-twf,median-rwf,twf", s="0.1", eta="0", w="0.01,0.001",
-    ),
-    "poisson": dict(
-        n="64", m_over_n="8", trials=1,
-        algos="median-twf,median-rwf,twf", s="0.1", eta="0", w="0",
-    ),
+EXPERIMENTS = {
+    "single": _Experiment(0, single, False, {}),
+    "phase_grid": _Experiment(1, phase_grid, False, dict(
+        n_values=(64, 128), m_over_n=(2.0, 3.0, 4.0, 5.0, 6.0), trials=20,
+        algorithms=("median-twf", "median-rwf", "twf", "rwf"))),
+    "outlier_sweep": _Experiment(2, outlier_sweep, False, dict(
+        m_over_n=(8.0,), trials=100,
+        algorithms=("median-twf", "median-rwf", "twf", "trimean-twf"),
+        s_values=(0.05, 0.1, 0.15, 0.2), eta_values=(1.0,))),
+    "noise_curve": _Experiment(3, noise_curve, True, dict(
+        m_over_n=(8.0,), algorithms=("median-twf", "median-rwf", "twf"),
+        s_values=(0.1,), w_values=(0.01, 0.001))),
+    "poisson": _Experiment(4, poisson_experiment, True, dict(
+        m_over_n=(8.0,), algorithms=("median-twf", "median-rwf", "twf"),
+        s_values=(0.1,))),
 }
+
+
+def _comma_list(item: type) -> Callable[[str], tuple]:
+    def parse(text: str) -> tuple:
+        return tuple(item(tok.strip()) for tok in text.split(",") if tok.strip())
+
+    parse.__name__ = f"comma list of {item.__name__}"  # named in argparse errors
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -465,36 +454,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Phase-retrieval experiments with median-truncated gradient descent.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, d in _DEFAULTS.items():
-        sp = sub.add_parser(name, help=f"run the {name} experiment")
-        sp.add_argument("--n", default=d["n"], help="comma list of signal dimensions")
-        sp.add_argument("--m", default=None, help="comma list of measurement counts")
-        sp.add_argument(
-            "--m-over-n", default=d["m_over_n"], help="comma list of m/n ratios"
+    ints, floats = _comma_list(int), _comma_list(float)
+    for exp_id, exp in EXPERIMENTS.items():
+        name = exp_id.replace("_", "-")
+        # Unset flags stay out of the namespace, so ExperimentConfig's own
+        # defaults apply unless the experiment's grid overrides them.
+        sp = sub.add_parser(
+            name, help=f"run the {name} experiment", argument_default=argparse.SUPPRESS
         )
-        sp.add_argument("--trials", type=int, default=d["trials"])
+        sp.set_defaults(experiment=exp_id, out=f"{name}.csv", **exp.grid)
+        sp.add_argument("--n", dest="n_values", type=ints,
+                        help="comma list of signal dimensions")
+        sp.add_argument("--m", dest="m_values", type=ints,
+                        help="comma list of measurement counts")
+        sp.add_argument("--m-over-n", type=floats, help="comma list of m/n ratios")
+        sp.add_argument("--trials", type=int)
         sp.add_argument(
-            "--algos", "--algo", dest="algos", default=d["algos"],
+            "--algos", "--algo", dest="algorithms", type=_comma_list(str),
             help="comma list: " + ", ".join(a.value for a in Algorithm),
         )
-        sp.add_argument("--s", default=d["s"], help="comma list of outlier fractions")
+        sp.add_argument("--s", dest="s_values", type=floats,
+                        help="comma list of outlier fractions")
         sp.add_argument(
-            "--eta-max-rel", default=d["eta"],
+            "--eta-max-rel", dest="eta_values", type=floats,
             help="comma list of outlier amplitudes in units of the signal power",
         )
         sp.add_argument(
-            "--w-max-rel", default=d["w"],
+            "--w-max-rel", dest="w_values", type=floats,
             help="comma list of dense-noise amplitudes in units of the signal power",
         )
-        sp.add_argument("--seed", type=int, default=0, help="master seed")
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--out", default=f"{name}.csv", help="output CSV path")
+        sp.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+        sp.add_argument("--threads", type=int)
+        sp.add_argument("--out", help="output CSV path")
         sp.add_argument(
-            "--fixed-T", action=argparse.BooleanOptionalAction, default=True,
+            "--fixed-T", action=argparse.BooleanOptionalAction,
             help="run the full iteration budget (default); --no-fixed-T stops early",
         )
-        sp.add_argument("--max-iters", type=int, default=500, help="iteration budget T")
-        sp.add_argument("--tol", type=float, default=1e-8, help="success tolerance")
+        sp.add_argument("--max-iters", type=int, help="iteration budget T")
+        sp.add_argument("--tol", type=float, help="success tolerance")
         sp.add_argument(
             "--timing", action="store_true",
             help="record wall time per trial (makes output files nondeterministic)",
@@ -502,51 +499,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment=ns.command.replace("-", "_"),
-        n_values=_parse_int_list(ns.n),
-        m_values=_parse_int_list(ns.m) if ns.m else None,
-        m_over_n=_parse_float_list(ns.m_over_n) if ns.m_over_n else None,
-        trials=ns.trials,
-        algorithms=_parse_algos(ns.algos),
-        s_values=_parse_float_list(ns.s),
-        eta_values=_parse_float_list(ns.eta_max_rel),
-        w_values=_parse_float_list(ns.w_max_rel),
-        master_seed=ns.seed,
-        threads=ns.threads,
-        out=ns.out,
-        fixed_T=ns.fixed_T,
-        max_iters=ns.max_iters,
-        tol=ns.tol,
-        timing=ns.timing,
-    )
-
-
 def cli_main(argv: list[str] | None = None) -> int:
     """Entry point; returns 0 on success, 2 on config errors, 1 otherwise."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
+        ns = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad flags or values, 0 on --help
         return int(exc.code or 0)
+    del ns.command
     try:
-        cfg = _config_from_args(ns)
-    except (InvalidInputError, ValueError) as exc:
+        cfg = ExperimentConfig(**vars(ns))
+    except InvalidInputError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    # Built per call so rebound module attributes (perfbench's tracer wraps
-    # the writers) are the ones that run.
-    experiments = {
-        "single": (single, write_result_csv),
-        "phase_grid": (phase_grid, write_result_csv),
-        "outlier_sweep": (outlier_sweep, write_result_csv),
-        "noise_curve": (noise_curve, write_iteration_csv),
-        "poisson": (poisson_experiment, write_iteration_csv),
-    }
-    run, write = experiments[cfg.experiment]
+    exp = EXPERIMENTS[cfg.experiment]
+    # Looked up per call so rebound module attributes (perfbench's tracer
+    # wraps the writers) are the ones that run.
+    write = write_iteration_csv if exp.per_iteration else write_result_csv
     try:
-        rows = run(cfg)
+        rows = exp.run(cfg)
         write(rows, cfg.out)
     except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)

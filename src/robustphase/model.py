@@ -151,8 +151,8 @@ class CorruptionSpec:
             raise InvalidInputError(
                 f"outlier fraction must lie in [0, 0.5), got {self.outlier_fraction}"
             )
-        if self.eta_max_rel < 0.0 or self.w_max_rel < 0.0:
-            raise InvalidInputError("corruption magnitudes must be nonnegative")
+        if not (0.0 <= self.eta_max_rel < math.inf and 0.0 <= self.w_max_rel < math.inf):
+            raise InvalidInputError("corruption magnitudes must be finite and nonnegative")
         if self.noise_norm not in ("l2", "linf"):
             raise InvalidInputError(f"unknown noise norm {self.noise_norm!r}")
         # Coerce plain strings so specs deserialize cleanly from JSON.

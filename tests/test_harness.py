@@ -11,7 +11,7 @@ import math
 import os
 import subprocess
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from robustphase import (
 )
 from robustphase.harness import (
     ALGORITHM_CODES,
-    EXPERIMENT_CODES,
+    EXPERIMENTS,
     ITERATION_HEADER,
     RESULT_HEADER,
     ExperimentConfig,
@@ -156,6 +156,18 @@ def _cfg(**overrides):
         dict(s_values=(-0.1,)),
         dict(eta_values=(-1.0,)),
         dict(w_values=(-0.5,)),
+        dict(tol=float("nan")),
+        dict(tol=float("inf")),
+        dict(s_values=(float("nan"),)),
+        dict(eta_values=(float("nan"),)),
+        dict(eta_values=(float("inf"),)),
+        dict(w_values=(float("nan"),)),
+        dict(w_values=(float("inf"),)),
+        dict(m_values=None, m_over_n=(0.0,)),
+        dict(m_values=None, m_over_n=(-1.0,)),
+        dict(m_values=None, m_over_n=(float("nan"),)),
+        dict(m_values=None, m_over_n=(float("inf"),)),
+        dict(m_values=()),
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -203,7 +215,7 @@ def test_phase_grid_canonical_order_and_seed_derivation():
     assert [r.algorithm for r in rows] == ["median-twf"] * 2 + ["median-rwf"] * 2 + [
         "median-twf"
     ] * 2 + ["median-rwf"] * 2
-    exp_code = EXPERIMENT_CODES["phase_grid"]
+    exp_code = EXPERIMENTS["phase_grid"].code
     expected = [
         derive_seed(9, exp_code, cell, ALGORITHM_CODES[algo], trial)
         for cell in (0, 1)
@@ -438,12 +450,85 @@ def test_cli_rejects_outlier_fraction_half_or_more(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_cli_rejects_unknown_algorithm(tmp_path):
-    code = cli_main(
-        ["single", "--algos", "gradient-descent-9000",
-         "--out", str(tmp_path / "x.csv")]
-    )
-    assert code == 2
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--algos", "bogus"), ("--n", "abc"), ("--m-over-n", "x"), ("--s", "0.1,y"),
+     ("--m-over-n", "nan")],
+    ids=["algos", "n", "m-over-n", "s", "m-over-n-nan"],
+)
+def test_cli_rejects_malformed_values(tmp_path, flag, value):
+    out = tmp_path / "x.csv"
+    assert cli_main(["single", flag, value, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def _cells(tag, ns, ratios, s=0.0, eta=0.0, w=0.0):
+    return [(tag, n, round(r * n), s, eta, w) for n in ns for r in ratios]
+
+
+TWF3 = ("median-twf", "median-rwf", "twf")
+
+# subcommand -> ([(cell, algorithms)] in run order, trials per cell and algorithm)
+CLI_DEFAULTS = {
+    "single": ([(c, ("median-twf",)) for c in _cells("single", [64], [6])], 1),
+    "phase-grid": (
+        [(c, ("median-twf", "median-rwf", "twf", "rwf"))
+         for c in _cells("phase_grid", [64, 128], [2, 3, 4, 5, 6])],
+        20,
+    ),
+    "outlier-sweep": (
+        [(c, ("median-twf", "median-rwf", "twf", "trimean-twf"))
+         for s in (0.05, 0.1, 0.15, 0.2)
+         for c in _cells("outlier_sweep", [64], [8], s=s, eta=1.0)],
+        100,
+    ),
+    "noise-curve": (
+        [pair
+         for w in (0.01, 0.001)
+         for pair in (
+             ((f"noise_curve:w={w:g}:corrupted", 64, 512, 0.1, 0.0, w), TWF3),
+             ((f"noise_curve:w={w:g}:clean", 64, 512, 0.0, 0.0, w), ("twf",)),
+         )],
+        1,
+    ),
+    "poisson": (
+        [(("poisson:corrupted", 64, 512, 0.1, 0.0, 0.0), TWF3),
+         (("poisson:clean", 64, 512, 0.0, 0.0, 0.0), ("twf",))],
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_DEFAULTS))
+def test_cli_subcommand_defaults(name, tmp_path, monkeypatch):
+    calls = []
+
+    def record(cell, algorithm, trial_seed, fixed_T=True, max_iters=500, tol=1e-8,
+               timing=False):
+        c = cell.corruption
+        key = (cell.experiment_id, cell.n, cell.m, c.outlier_fraction, c.eta_max_rel,
+               c.w_max_rel)
+        calls.append((key, algorithm.value, (fixed_T, max_iters, tol, timing)))
+        row = ResultRow(cell.experiment_id, algorithm.value, cell.n, cell.m,
+                        c.outlier_fraction, c.eta_max_rel, c.w_max_rel, trial_seed,
+                        0, 0.0, 0, 0.0)
+        return row, None
+
+    monkeypatch.setattr("robustphase.harness.run_trial", record)
+    monkeypatch.chdir(tmp_path)
+    assert cli_main([name]) == 0
+    assert (tmp_path / f"{name}.csv").exists()
+
+    expected_cells, trials = CLI_DEFAULTS[name]
+    cells = []
+    for key, algo, _ in calls:
+        if not cells or cells[-1][0] != key:
+            cells.append((key, []))
+        if algo not in cells[-1][1]:
+            cells[-1][1].append(algo)
+    assert [(k, tuple(a)) for k, a in cells] == expected_cells
+    assert set(Counter((key, algo) for key, algo, _ in calls).values()) == {trials}
+    assert {settings for _, _, settings in calls} == {(True, 500, 1e-8, False)}
 
 
 def test_cli_rejects_unknown_flag():

@@ -130,6 +130,11 @@ def test_corruption_spec_validation():
         CorruptionSpec(eta_max_rel=-1.0)
     with pytest.raises(InvalidInputError):
         CorruptionSpec(w_max_rel=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError):
+            CorruptionSpec(eta_max_rel=bad)
+        with pytest.raises(InvalidInputError):
+            CorruptionSpec(w_max_rel=bad)
     with pytest.raises(InvalidInputError):
         CorruptionSpec(noise_norm="l1")
     # plain strings coerce to the enums (JSON round-trip path)
