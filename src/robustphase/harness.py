@@ -41,11 +41,7 @@ __all__ = [
     "RESULT_HEADER",
     "ITERATION_HEADER",
     "run_trial",
-    "single",
-    "phase_grid",
-    "outlier_sweep",
-    "noise_curve",
-    "poisson_experiment",
+    "run_experiment",
     "write_result_csv",
     "write_iteration_csv",
     "cli_main",
@@ -171,6 +167,9 @@ class _Task:
     cfg: ExperimentConfig
 
 
+_Cells = list[tuple[TrialCell, tuple[Algorithm, ...]]]  # (cell, its algorithms)
+
+
 def _pair_dims(cfg: ExperimentConfig) -> list[tuple[int, int]]:
     dims: list[tuple[int, int]] = []
     for n in cfg.n_values:
@@ -275,122 +274,90 @@ def _execute(tasks: list[_Task], threads: int) -> list[list]:
     # canonical (cell, algorithm, trial) order regardless of scheduling.
     if threads <= 1 or len(tasks) <= 1:
         return [_run_task(t) for t in tasks]
-    chunk = max(1, len(tasks) // (threads * 4))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # With fork, the pool starts every worker at the first submit, so never
+    # ask for more workers than there are tasks.
+    workers = min(threads, len(tasks))
+    chunk = max(1, len(tasks) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_task, tasks, chunksize=chunk))
 
 
-def _run(
-    cfg: ExperimentConfig,
-    cells: list[TrialCell],
-    algorithms_per_cell: list[tuple[Algorithm, ...]],
-) -> list:
-    """Rows for every (cell, algorithm, trial), in that order.
+def run_experiment(cfg: ExperimentConfig) -> list[ResultRow] | list[IterationRow]:
+    """The rows ``cfg.experiment`` writes, for every (cell, algorithm, trial).
 
-    ``cfg.experiment`` picks the seed code and whether the rows are one
-    per trial or one per iteration.
+    ``cfg.experiment`` alone picks the cells, the seed code and whether the
+    rows are one per trial (``ResultRow``) or one per iteration
+    (``IterationRow``); rows come in (cell, algorithm, trial) order.
     """
-    exp_code = EXPERIMENTS[cfg.experiment].code
+    exp = EXPERIMENTS[cfg.experiment]
     tasks = [
         _Task(
             cell,
             algorithm,
-            derive_seed(cfg.master_seed, exp_code, cell_index, ALGORITHM_CODES[algorithm], trial),
+            derive_seed(cfg.master_seed, exp.code, cell_index, ALGORITHM_CODES[algorithm], trial),
             cfg,
         )
-        for cell_index, (cell, algorithms) in enumerate(zip(cells, algorithms_per_cell))
+        for cell_index, (cell, algorithms) in enumerate(exp.cells(cfg))
         for algorithm in algorithms
         for trial in range(cfg.trials)
     ]
     return [row for rows in _execute(tasks, cfg.threads) for row in rows]
 
 
-def _sweep(
-    cfg: ExperimentConfig, experiment_id: str, s_values, eta_values
-) -> list[ResultRow]:
-    """Result rows over uniform-outlier cells ordered s -> eta -> (n, m)."""
-    cells = [
-        TrialCell(
-            experiment_id,
-            n,
-            m,
-            CorruptionSpec(outlier_fraction=s, eta_max_rel=eta, w_max_rel=cfg.w_values[0]),
-        )
+def _sweep_cells(cfg: ExperimentConfig, crossed: bool = False) -> _Cells:
+    """Uniform-outlier cells ordered s -> eta -> (n, m), all algorithms each.
+
+    Unless ``crossed``, only the first s and eta values are used.
+    """
+    s_values = cfg.s_values if crossed else cfg.s_values[:1]
+    eta_values = cfg.eta_values if crossed else cfg.eta_values[:1]
+    specs = [
+        CorruptionSpec(outlier_fraction=s, eta_max_rel=eta, w_max_rel=cfg.w_values[0])
         for s in s_values
         for eta in eta_values
+    ]
+    return [
+        (TrialCell(cfg.experiment, n, m, spec), cfg.algorithms)
+        for spec in specs
         for n, m in _pair_dims(cfg)
     ]
-    return _run(cfg, cells, [cfg.algorithms] * len(cells))
 
 
-def _reference_curves(
+def _reference_cells(
     cfg: ExperimentConfig, variants: list[tuple[str, CorruptionSpec, CorruptionSpec]]
-) -> list[IterationRow]:
-    """Per-iteration rows for (tag, corrupted, clean) variants.
+) -> _Cells:
+    """Cells for (tag, corrupted, clean) variants.
 
     Each variant runs, per (n, m), the configured algorithms on the
     ``<tag>:corrupted`` cell and then the mean-statistic baseline alone on
     the ``<tag>:clean`` reference cell.
     """
-    cells: list[TrialCell] = []
-    algos: list[tuple[Algorithm, ...]] = []
+    cells: _Cells = []
     for tag, corrupted, clean in variants:
         for n, m in _pair_dims(cfg):
-            cells.append(TrialCell(f"{tag}:corrupted", n, m, corrupted))
-            algos.append(cfg.algorithms)
-            cells.append(TrialCell(f"{tag}:clean", n, m, clean))
-            algos.append((Algorithm.MEAN_TWF,))
-    return _run(cfg, cells, algos)
+            cells.append((TrialCell(f"{tag}:corrupted", n, m, corrupted), cfg.algorithms))
+            cells.append((TrialCell(f"{tag}:clean", n, m, clean), (Algorithm.MEAN_TWF,)))
+    return cells
 
 
-def single(cfg: ExperimentConfig) -> list[ResultRow]:
-    """One cell per (n, m) pair with the first s/eta/w values."""
-    return _sweep(cfg, "single", cfg.s_values[:1], cfg.eta_values[:1])
+def _noise_curve_cells(cfg: ExperimentConfig) -> _Cells:
+    """Per w level: dense noise plus constant-magnitude outliers (value =
+    ||w||_2, support Bernoulli(s)), and the dense noise alone."""
+    s, model = cfg.s_values[0], OutlierModel.NOISE_NORM
+    return _reference_cells(cfg, [
+        (f"{cfg.experiment}:w={w:g}",
+         CorruptionSpec(outlier_fraction=s, outlier_model=model, w_max_rel=w),
+         CorruptionSpec(w_max_rel=w))
+        for w in cfg.w_values
+    ])
 
 
-def phase_grid(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Success counts over the (n, m/n) grid, noise-free by default."""
-    return _sweep(cfg, "phase_grid", cfg.s_values[:1], cfg.eta_values[:1])
-
-
-def outlier_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Success rates over the s grid crossed with eta levels."""
-    return _sweep(cfg, "outlier_sweep", cfg.s_values, cfg.eta_values)
-
-
-def noise_curve(cfg: ExperimentConfig) -> list[IterationRow]:
-    """Per-iteration error under dense noise, with and without outliers.
-
-    For each w level: the configured algorithms run on noise plus
-    constant-magnitude outliers (value = ||w||_2, support Bernoulli(s)),
-    and the mean-statistic baseline additionally runs on the dense noise
-    alone as the reference curve.
-    """
-    return _reference_curves(
-        cfg,
-        [
-            (
-                f"noise_curve:w={w:g}",
-                CorruptionSpec(
-                    outlier_fraction=cfg.s_values[0],
-                    outlier_model=OutlierModel.NOISE_NORM,
-                    w_max_rel=w,
-                ),
-                CorruptionSpec(w_max_rel=w),
-            )
-            for w in cfg.w_values
-        ],
-    )
-
-
-def poisson_experiment(cfg: ExperimentConfig) -> list[IterationRow]:
-    """Per-iteration error under Poisson counts, with and without outliers."""
+def _poisson_cells(cfg: ExperimentConfig) -> _Cells:
+    """Poisson counts, with and without integer-valued outliers."""
     corrupted = CorruptionSpec(
-        outlier_fraction=cfg.s_values[0],
-        outlier_model=OutlierModel.INTEGER_UNIFORM,
-        poisson=True,
+        outlier_fraction=cfg.s_values[0], outlier_model=OutlierModel.INTEGER_UNIFORM, poisson=True
     )
-    return _reference_curves(cfg, [("poisson", corrupted, CorruptionSpec(poisson=True))])
+    return _reference_cells(cfg, [(cfg.experiment, corrupted, CorruptionSpec(poisson=True))])
 
 
 def _fmt(value) -> str:
@@ -417,24 +384,24 @@ def write_iteration_csv(rows: list[IterationRow], path: str) -> None:
 
 class _Experiment(NamedTuple):
     code: int  # seed-derivation code; never renumber
-    run: Callable[[ExperimentConfig], list]
+    cells: Callable[[ExperimentConfig], _Cells]  # (cell, algorithms) in seed order
     per_iteration: bool  # writes IterationRow, not ResultRow, rows
     grid: dict  # CLI defaults where they differ from ExperimentConfig's
 
 
 EXPERIMENTS = {
-    "single": _Experiment(0, single, False, {}),
-    "phase_grid": _Experiment(1, phase_grid, False, dict(
+    "single": _Experiment(0, _sweep_cells, False, {}),
+    "phase_grid": _Experiment(1, _sweep_cells, False, dict(
         n_values=(64, 128), m_over_n=(2.0, 3.0, 4.0, 5.0, 6.0), trials=20,
         algorithms=("median-twf", "median-rwf", "twf", "rwf"))),
-    "outlier_sweep": _Experiment(2, outlier_sweep, False, dict(
+    "outlier_sweep": _Experiment(2, lambda cfg: _sweep_cells(cfg, crossed=True), False, dict(
         m_over_n=(8.0,), trials=100,
         algorithms=("median-twf", "median-rwf", "twf", "trimean-twf"),
         s_values=(0.05, 0.1, 0.15, 0.2), eta_values=(1.0,))),
-    "noise_curve": _Experiment(3, noise_curve, True, dict(
+    "noise_curve": _Experiment(3, _noise_curve_cells, True, dict(
         m_over_n=(8.0,), algorithms=("median-twf", "median-rwf", "twf"),
         s_values=(0.1,), w_values=(0.01, 0.001))),
-    "poisson": _Experiment(4, poisson_experiment, True, dict(
+    "poisson": _Experiment(4, _poisson_cells, True, dict(
         m_over_n=(8.0,), algorithms=("median-twf", "median-rwf", "twf"),
         s_values=(0.1,))),
 }
@@ -511,12 +478,11 @@ def cli_main(argv: list[str] | None = None) -> int:
     except InvalidInputError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    exp = EXPERIMENTS[cfg.experiment]
     # Looked up per call so rebound module attributes (perfbench's tracer
     # wraps the writers) are the ones that run.
-    write = write_iteration_csv if exp.per_iteration else write_result_csv
+    write = write_iteration_csv if EXPERIMENTS[cfg.experiment].per_iteration else write_result_csv
     try:
-        rows = exp.run(cfg)
+        rows = run_experiment(cfg)
         write(rows, cfg.out)
     except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)

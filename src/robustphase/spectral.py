@@ -151,10 +151,18 @@ def leading_eigenvector(
     return v, iters, False
 
 
+def _mean_scale(y: np.ndarray) -> float:
+    # sqrt(mean(y)): the scale estimate of the non-robust baselines.
+    mean = float(y.mean())
+    if mean < 0.0:
+        raise DegenerateMeasurements(f"mean of measurements is negative ({mean})")
+    return math.sqrt(mean)
+
+
 def _spectral_init(
     ensemble: SensingEnsemble,
-    y: np.ndarray,
-    lambda0: float,
+    y,
+    estimate_lambda0: Callable[[np.ndarray], float],
     alpha_y: float,
     tol: float,
     max_iters: int,
@@ -163,10 +171,12 @@ def _spectral_init(
     if alpha_y <= 0.0:
         raise InvalidInputError(f"alpha_y must be positive, got {alpha_y}")
     y = np.asarray(y, dtype=float)
-    if y.shape != (ensemble.m,):
+    if y.shape != (ensemble.m,) or not np.isfinite(y).all():
         raise InvalidInputError(
-            f"measurement length {y.shape} does not match ensemble m={ensemble.m}"
+            f"measurements must be a finite 1-D array of length m={ensemble.m}, "
+            f"got shape {y.shape}"
         )
+    lambda0 = estimate_lambda0(y)
     weights, kept = _surrogate_weights(y, alpha_y, lambda0)
     if lambda0 == 0.0:
         # No scale information at all (e.g. all-zero y): flag rather than
@@ -211,9 +221,7 @@ def median_spectral_init(
     The returned iterate satisfies ||z0|| = lambda0; its direction carries
     an arbitrary sign, which downstream distance computations absorb.
     """
-    return _spectral_init(
-        ensemble, y, scale_estimate(y), alpha_y, tol, max_iters, seed
-    )
+    return _spectral_init(ensemble, y, scale_estimate, alpha_y, tol, max_iters, seed)
 
 
 def mean_spectral_init(
@@ -229,12 +237,4 @@ def mean_spectral_init(
     lambda0 = sqrt(mean(y)); a single enormous outlier inflates it without
     bound, which is exactly the fragility the robust variant avoids.
     """
-    y_arr = np.asarray(y, dtype=float)
-    if y_arr.ndim != 1 or y_arr.size == 0 or not np.isfinite(y_arr).all():
-        raise InvalidInputError("measurements must be a nonempty finite 1-D array")
-    mean = float(y_arr.mean())
-    if mean < 0.0:
-        raise DegenerateMeasurements(f"mean of measurements is negative ({mean})")
-    return _spectral_init(
-        ensemble, y_arr, math.sqrt(mean), alpha_y, tol, max_iters, seed
-    )
+    return _spectral_init(ensemble, y, _mean_scale, alpha_y, tol, max_iters, seed)

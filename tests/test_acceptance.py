@@ -37,9 +37,7 @@ from robustphase.harness import (
     ExperimentConfig,
     TrialCell,
     cli_main,
-    noise_curve,
-    outlier_sweep,
-    phase_grid,
+    run_experiment,
     run_trial,
 )
 
@@ -80,7 +78,7 @@ def test_criterion_1_noise_free_phase_transition():
             m_over_n=(2.0, 3.0, 4.0, 5.0, 6.0), trials=20, algorithms=FOUR,
             s_values=(0.0,), master_seed=MASTER, fixed_T=False, tol=1e-8,
         )
-        counts = _success_table(phase_grid(cfg), key=lambda r: (r.m // r.n, r.algorithm))
+        counts = _success_table(run_experiment(cfg), key=lambda r: (r.m // r.n, r.algorithm))
         for algo in FOUR:
             assert counts[(6, algo.value)] >= 18   # >= 0.9 of 20 (measured 20)
             assert counts[(2, algo.value)] <= 2    # <= 0.1 of 20 (measured 0)
@@ -95,7 +93,7 @@ def test_criterion_2_mean_truncation_fragile_medians_robust():
             algorithms=(Algorithm.MEAN_TWF, Algorithm.MEDIAN_TWF, Algorithm.MEDIAN_RWF),
             s_values=(0.05,), eta_values=(1.0,), master_seed=MASTER, fixed_T=False,
         )
-        counts = _success_table(outlier_sweep(cfg), key=lambda r: r.algorithm)
+        counts = _success_table(run_experiment(cfg), key=lambda r: r.algorithm)
         assert counts["twf"] == 0
         assert counts["median-twf"] >= 15   # measured 20/20
         assert counts["median-rwf"] >= 15   # measured 20/20
@@ -110,7 +108,7 @@ def test_criterion_3_amplitude_median_tolerates_more_outliers():
             s_values=(0.05, 0.10, 0.15, 0.20), eta_values=(1.0,),
             master_seed=MASTER, fixed_T=False,
         )
-        counts = _success_table(outlier_sweep(cfg), key=lambda r: (r.s, r.algorithm))
+        counts = _success_table(run_experiment(cfg), key=lambda r: (r.s, r.algorithm))
         for s in (0.05, 0.10, 0.15, 0.20):
             assert counts[(s, "median-rwf")] >= counts[(s, "median-twf")]
 
@@ -145,7 +143,7 @@ def test_criterion_5_error_scales_with_dense_noise_level():
             s_values=(0.1,), w_values=(0.01, 0.001), master_seed=MASTER,
         )
         finals = {}
-        for r in noise_curve(cfg):
+        for r in run_experiment(cfg):
             key = (r.experiment, r.algorithm, r.seed)
             if key not in finals or r.t > finals[key][0]:
                 finals[key] = (r.t, r.rel_err)

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from collections import Counter, defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +38,8 @@ from robustphase.harness import (
     TrialCell,
     cli_main,
     main,
-    noise_curve,
-    outlier_sweep,
-    phase_grid,
-    poisson_experiment,
+    run_experiment,
     run_trial,
-    single,
     write_iteration_csv,
     write_result_csv,
 )
@@ -185,12 +182,12 @@ def test_m_over_n_rounds_to_nearest_with_floor_one():
         experiment="single", n_values=(64,), m_over_n=(2.0, 2.5),
         algorithms=(Algorithm.MEDIAN_TWF,), max_iters=1,
     )
-    assert [r.m for r in single(cfg)] == [128, 160]
+    assert [r.m for r in run_experiment(cfg)] == [128, 160]
     tiny = ExperimentConfig(
         experiment="single", n_values=(10,), m_over_n=(0.05,),
         algorithms=(Algorithm.MEDIAN_TWF,), max_iters=1,
     )
-    assert [r.m for r in single(tiny)] == [1]
+    assert [r.m for r in run_experiment(tiny)] == [1]
 
 
 # --------------------------------------------------------------- phase_grid
@@ -201,7 +198,7 @@ def test_phase_grid_empty_algorithm_list_yields_no_rows():
         experiment="phase_grid", n_values=(16,), m_values=(48,), m_over_n=None,
         algorithms=(), max_iters=1,
     )
-    assert phase_grid(cfg) == []
+    assert run_experiment(cfg) == []
 
 
 def test_phase_grid_canonical_order_and_seed_derivation():
@@ -210,7 +207,7 @@ def test_phase_grid_canonical_order_and_seed_derivation():
         trials=2, algorithms=(Algorithm.MEDIAN_TWF, Algorithm.MEDIAN_RWF),
         master_seed=9, max_iters=2,
     )
-    rows = phase_grid(cfg)
+    rows = run_experiment(cfg)
     assert [r.m for r in rows] == [32] * 4 + [48] * 4
     assert [r.algorithm for r in rows] == ["median-twf"] * 2 + ["median-rwf"] * 2 + [
         "median-twf"
@@ -223,7 +220,7 @@ def test_phase_grid_canonical_order_and_seed_derivation():
         for trial in (0, 1)
     ]
     assert [r.seed for r in rows] == expected
-    assert phase_grid(cfg) == rows
+    assert run_experiment(cfg) == rows
 
 
 def test_phase_grid_success_rate_monotone_in_m():
@@ -231,7 +228,7 @@ def test_phase_grid_success_rate_monotone_in_m():
         experiment="phase_grid", n_values=(48,), m_over_n=(2.0, 4.0, 6.0),
         trials=10, algorithms=(Algorithm.MEDIAN_TWF,), master_seed=0, fixed_T=False,
     )
-    counts = success_counts(phase_grid(cfg), key=lambda r: r.m)
+    counts = success_counts(run_experiment(cfg), key=lambda r: r.m)
     ms = sorted(counts)
     # measured 1/10, 8/10, 9/10; allow 2-trial counting noise on the trend
     for lo, hi in zip(ms, ms[1:]):
@@ -250,7 +247,7 @@ def test_outlier_sweep_ordering_at_small_fraction():
         algorithms=(Algorithm.MEDIAN_TWF, Algorithm.MEDIAN_RWF, Algorithm.MEAN_TWF),
         s_values=(0.05,), eta_values=(1.0,), master_seed=0, fixed_T=False,
     )
-    counts = success_counts(outlier_sweep(cfg))
+    counts = success_counts(run_experiment(cfg))
     assert counts["median-rwf"] >= counts["median-twf"] >= counts["twf"]
     assert counts["twf"] == 0
     assert counts["median-rwf"] >= 8  # measured 10/10
@@ -266,7 +263,7 @@ def test_outlier_sweep_trimean_survives_very_large_outliers():
         trials=20, algorithms=(Algorithm.MEDIAN_TWF, Algorithm.TRIMEAN_TWF),
         s_values=(0.30,), eta_values=(100.0,), master_seed=0, fixed_T=False,
     )
-    counts = success_counts(outlier_sweep(cfg))
+    counts = success_counts(run_experiment(cfg))
     assert counts["trimean-twf"] >= 1  # measured 2/20
     assert counts["median-twf"] == 0
 
@@ -277,7 +274,7 @@ def test_outlier_sweep_s_zero_reduces_to_noise_free():
         trials=3, algorithms=tuple(Algorithm), s_values=(0.0,), eta_values=(1.0,),
         master_seed=0, fixed_T=False,
     )
-    counts = success_counts(outlier_sweep(cfg))
+    counts = success_counts(run_experiment(cfg))
     assert all(counts[a.value] == 3 for a in Algorithm)
 
 
@@ -287,7 +284,7 @@ def test_outlier_sweep_crosses_s_and_eta_grids():
         trials=1, algorithms=(Algorithm.MEDIAN_TWF,),
         s_values=(0.0, 0.1), eta_values=(1.0, 10.0), master_seed=0, max_iters=2,
     )
-    rows = outlier_sweep(cfg)
+    rows = run_experiment(cfg)
     assert [(r.s, r.eta_max_rel) for r in rows] == [
         (0.0, 1.0), (0.0, 10.0), (0.1, 1.0), (0.1, 10.0)
     ]
@@ -303,7 +300,7 @@ def test_noise_curve_clean_regime_reaches_tolerance():
         trials=1, algorithms=(Algorithm.MEDIAN_TWF,), s_values=(0.0,),
         w_values=(0.0,), master_seed=0,
     )
-    rows = noise_curve(cfg)
+    rows = run_experiment(cfg)
     curves = defaultdict(list)
     for r in rows:
         curves[(r.experiment, r.algorithm)].append((r.t, r.rel_err))
@@ -324,7 +321,7 @@ def test_noise_curve_tenfold_reduction_and_outlier_tracking():
         algorithms=(Algorithm.MEDIAN_TWF, Algorithm.MEDIAN_RWF, Algorithm.MEAN_TWF),
         s_values=(0.1,), w_values=(0.01, 0.001), master_seed=0,
     )
-    finals = final_errors(noise_curve(cfg))
+    finals = final_errors(run_experiment(cfg))
     by = lambda exp, algo: next(
         v for (e, a, _), v in finals.items() if e == exp and a == algo
     )
@@ -349,7 +346,7 @@ def test_poisson_curves_track_clean_baseline():
         algorithms=(Algorithm.MEDIAN_TWF, Algorithm.MEDIAN_RWF, Algorithm.MEAN_TWF),
         s_values=(0.1,), master_seed=0,
     )
-    finals = final_errors(poisson_experiment(cfg))
+    finals = final_errors(run_experiment(cfg))
     by = lambda exp, algo: next(
         v for (e, a, _), v in finals.items() if e == exp and a == algo
     )
@@ -365,7 +362,69 @@ def test_poisson_deterministic_per_master_seed():
         trials=1, algorithms=(Algorithm.MEDIAN_TWF,), s_values=(0.1,),
         master_seed=4, max_iters=40,
     )
-    assert poisson_experiment(cfg) == poisson_experiment(cfg)
+    assert run_experiment(cfg) == run_experiment(cfg)
+
+
+# ----------------------------------------------------------- run_experiment
+
+MTWF_CODE = ALGORITHM_CODES[Algorithm.MEDIAN_TWF]
+BASELINE_CODE = ALGORITHM_CODES[Algorithm.MEAN_TWF]
+
+# experiment -> (row type, [(cell index, algorithm code)] in seed order) for
+# one (n, m) pair, one s/eta/w value, one trial and median-twf alone
+EXPERIMENT_LAYOUT = {
+    "single": (ResultRow, [(0, MTWF_CODE)]),
+    "phase_grid": (ResultRow, [(0, MTWF_CODE)]),
+    "outlier_sweep": (ResultRow, [(0, MTWF_CODE)]),
+    "noise_curve": (IterationRow, [(0, MTWF_CODE), (1, BASELINE_CODE)]),
+    "poisson": (IterationRow, [(0, MTWF_CODE), (1, BASELINE_CODE)]),
+}
+
+
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
+def test_run_experiment_tags_and_seeds_come_from_cfg_experiment(exp_id):
+    cfg = ExperimentConfig(
+        experiment=exp_id, n_values=(8,), m_values=(48,), m_over_n=None,
+        algorithms=(Algorithm.MEDIAN_TWF,), s_values=(0.1,), w_values=(0.01,),
+        master_seed=3, max_iters=2,
+    )
+    rows = run_experiment(cfg)
+    row_type, seeded = EXPERIMENT_LAYOUT[exp_id]
+    assert rows and all(type(r) is row_type for r in rows)
+    assert all(r.experiment == exp_id or r.experiment.startswith(exp_id + ":") for r in rows)
+    code = EXPERIMENTS[exp_id].code
+    assert list(dict.fromkeys(r.seed for r in rows)) == [
+        derive_seed(3, code, cell, algo, 0) for cell, algo in seeded
+    ]
+
+
+def test_pool_never_starts_more_workers_than_tasks(monkeypatch):
+    # A fork-based pool starts all max_workers processes at the first
+    # submit; a serial stand-in records the count without starting any.
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr("robustphase.harness.ProcessPoolExecutor", SerialPool)
+    cfg = ExperimentConfig(
+        experiment="single", n_values=(8,), m_values=(24,), m_over_n=None,
+        trials=3, threads=64, max_iters=2,
+    )
+    rows = run_experiment(cfg)
+    assert started == [3]
+    assert rows == run_experiment(replace(cfg, threads=1))
+    assert started == [3]  # one thread runs in-process
 
 
 # -------------------------------------------------------------- CSV output

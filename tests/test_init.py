@@ -269,6 +269,17 @@ def test_mean_init_rejects_negative_mean():
         mean_spectral_init(ens, np.array([-3.0, 1.0]))
 
 
+@pytest.mark.parametrize("init", [median_spectral_init, mean_spectral_init])
+@pytest.mark.parametrize(
+    "y",
+    [np.ones(5), np.ones((6, 1)), np.r_[np.ones(5), np.nan], np.r_[np.ones(5), np.inf]],
+    ids=["short", "2-D", "nan", "inf"],
+)
+def test_both_inits_reject_malformed_measurements(init, y):
+    with pytest.raises(InvalidInputError):
+        init(sample_ensemble(3, 6, seed=60), y)
+
+
 def test_init_result_shape_contract():
     ens = sample_ensemble(5, 60, seed=58)
     x = sample_signal(5, seed=59)
