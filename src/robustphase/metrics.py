@@ -7,6 +7,7 @@ sign flip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,13 @@ def _pair(z, x) -> tuple[np.ndarray, np.ndarray]:
     return z, x
 
 
+def _norm(v: np.ndarray) -> float:
+    # sqrt(v . v) is bitwise what np.linalg.norm computes for a 1-D float array.
+    return math.sqrt(v @ v)
+
+
 def _dist(z: np.ndarray, x: np.ndarray) -> float:
-    return float(min(np.linalg.norm(z - x), np.linalg.norm(z + x)))
+    return min(_norm(z - x), _norm(z + x))
 
 
 def dist(z, x) -> float:
@@ -46,7 +52,7 @@ def dist(z, x) -> float:
 def relative_error(z, x) -> float:
     """dist(z, x) / ||x||; the signal must be nonzero."""
     z, x = _pair(z, x)
-    x_norm = float(np.linalg.norm(x))
+    x_norm = _norm(x)
     if x_norm == 0.0:
         raise InvalidInputError("relative error is undefined for a zero signal")
     return _dist(z, x) / x_norm

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf, erfinv, k0e
 
 from .errors import InvalidInputError, NumericalFailure
 
@@ -87,9 +86,13 @@ def sample_median(values) -> float:
     """Median under the generalized-quantile convention (p = 1/2).
 
     For even m this is the ``(m // 2)``-th order statistic, the lower of the
-    two central values; for odd m it is the usual middle value.
+    two central values; for odd m it is the usual middle value.  The rank
+    ``ceil(m / 2)`` is taken directly, the same rank ``sample_quantile``
+    computes for p = 1/2.
     """
-    return sample_quantile(values, 0.5)
+    xs = _validated_sample(values)
+    k = (xs.size + 1) // 2
+    return float(np.partition(xs, k - 1)[k - 1])
 
 
 def product_gaussian_density(x, rho: float):
@@ -119,6 +122,8 @@ def product_gaussian_density(x, rho: float):
     if abs(rho) == 1.0:
         out = np.exp(-arr / 2.0) / np.sqrt(2.0 * math.pi * arr)
     else:
+        from scipy.special import k0e  # scipy stays off the solver path
+
         q = 1.0 - rho * rho
         out = (
             (np.exp(-arr / (1.0 + rho)) + np.exp(-arr / (1.0 - rho)))
@@ -145,12 +150,14 @@ def product_gaussian_cdf(theta: float, rho: float) -> float:
         raise InvalidInputError(f"correlation must lie in [-1, 1], got {rho}")
     if theta <= 0.0:
         raise InvalidInputError(f"CDF argument must be positive, got {theta}")
+    # scipy is imported inside the oracles: it costs most of the package's
+    # import time and memory, and no solver or experiment uses it.
     if abs(rho) == 1.0:
+        from scipy.special import erf
+
         return float(erf(math.sqrt(theta / 2.0)))
     if theta <= _CDF_EPS:
         return 0.0
-    # Imported here: scipy.integrate costs a noticeable share of the
-    # package's import time and only this oracle uses it.
     from scipy.integrate import quad
 
     def integrand(u: float) -> float:
@@ -215,4 +222,6 @@ def chi_square_quantile(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise InvalidInputError(f"quantile level must lie in (0, 1), got {p}")
+    from scipy.special import erfinv  # scipy stays off the solver path
+
     return float(2.0 * erfinv(p) ** 2)

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import InvalidInputError
 from .metrics import dist, relative_error
@@ -166,7 +165,7 @@ class IterateTrace:
 
 def _gaussian_second_moment_below(t: float) -> float:
     # E[xi^2 1{|xi| < t}] for xi ~ N(0,1), in closed form.
-    return erf(t / math.sqrt(2.0)) - t * math.sqrt(2.0 / math.pi) * math.exp(-t * t / 2.0)
+    return math.erf(t / math.sqrt(2.0)) - t * math.sqrt(2.0 / math.pi) * math.exp(-t * t / 2.0)
 
 
 def validate_twf_params(cfg: SolverConfig) -> tuple[float, float, bool]:
@@ -193,7 +192,7 @@ def validate_twf_params(cfg: SolverConfig) -> tuple[float, float, bool]:
         moment = _gaussian_second_moment_below(a) + (
             1.0 - _gaussian_second_moment_below(b)
         )
-        prob = erf(a / math.sqrt(2.0)) + (1.0 - erf(b / math.sqrt(2.0)))
+        prob = math.erf(a / math.sqrt(2.0)) + (1.0 - math.erf(b / math.sqrt(2.0)))
         zeta1 = max(moment, prob)
     c = 0.248 * cfg.alpha_h
     zeta2 = 1.0 - _gaussian_second_moment_below(c)
@@ -212,7 +211,7 @@ def _check_iterate(ensemble: SensingEnsemble, y, z) -> tuple[np.ndarray, np.ndar
             f"shape mismatch: y {y.shape}, z {z.shape} vs ensemble "
             f"({ensemble.m}, {ensemble.n})"
         )
-    z_norm = float(np.linalg.norm(z))
+    z_norm = math.sqrt(z @ z)  # bitwise np.linalg.norm(z) for a 1-D float array
     if z_norm == 0.0:
         raise InvalidInputError("iterate is zero; truncation events are undefined")
     return y, z, z_norm
@@ -230,47 +229,49 @@ def _screened_gradient(
 
     ``loss`` is "intensity" or "amplitude"; ``statistic`` is "median",
     "mean", "trimmed" or "none".  "none" screens nothing and reports the
-    median residual.  ``A z`` is computed once per call.
+    median residual.  ``A z`` is computed once per call, and the screening
+    events combine into one boolean mask that selects the nonzero entries
+    of the coefficient vector.
     """
     y, z, z_norm = _check_iterate(ensemble, y, z)
     rows = ensemble.rows
     m = ensemble.m
     az = rows @ z
     if loss == "intensity":
-        resid = np.abs(y - az**2)
+        misfit = az**2 - y  # exactly -(y - az^2), so |misfit| is the residual
+        resid = np.abs(misfit)
     else:
         sqrt_y = np.sqrt(np.maximum(y, 0.0))
         resid = np.abs(sqrt_y - np.abs(az))
 
-    active = np.ones(m, dtype=bool)
+    keep = None  # None: the statistic itself discards no sample
     if statistic == "mean":
-        stat = float(resid.mean())
+        stat = float(resid.sum() / m)  # bitwise resid.mean()
     elif statistic == "trimmed":  # discard the ceil(s*m) largest residuals first
         if cfg.known_s is None:
             raise InvalidInputError("trimean-twf requires known_s")
-        drop = math.ceil(cfg.known_s * m)
-        if drop > 0:
-            order = np.argsort(resid, kind="stable")
-            active[order[m - drop :]] = False
-        if not active.any():
+        n_untrimmed = m - math.ceil(cfg.known_s * m)
+        if n_untrimmed <= 0:
             return np.zeros(ensemble.n), 0, 0.0
-        stat = float(resid[active].mean())
+        keep = np.ones(m, dtype=bool)
+        keep[np.argsort(resid, kind="stable")[n_untrimmed:]] = False
+        stat = float(resid[keep].sum() / n_untrimmed)
     else:
         stat = sample_median(resid)
 
-    coeff = np.zeros(m)
     if loss == "intensity":
         abs_az = np.abs(az)
-        e1 = (abs_az >= cfg.alpha_l * z_norm) & (abs_az <= cfg.alpha_u * z_norm)
-        e2 = resid <= cfg.alpha_h * stat * abs_az / z_norm
-        keep = active & e1 & e2
-        coeff[keep] = (az[keep] ** 2 - y[keep]) / az[keep]
+        passed = (abs_az >= cfg.alpha_l * z_norm) & (abs_az <= cfg.alpha_u * z_norm)
+        passed &= resid <= cfg.alpha_h * stat * abs_az / z_norm
+        keep = passed if keep is None else keep & passed
+        coeff = np.divide(misfit, az, out=np.zeros(m), where=keep)
     else:
-        keep = active if statistic == "none" else resid <= cfg.alpha_h_prime * stat
-        sign = np.where(az >= 0.0, 1.0, -1.0)
-        coeff[keep] = az[keep] - sqrt_y[keep] * sign[keep]
-    gradient = rows.T @ coeff / m
-    return gradient, int(keep.sum()), stat
+        signed_sqrt_y = np.where(az >= 0.0, sqrt_y, -sqrt_y)  # sign(0) = +1
+        if statistic == "none":
+            return rows.T @ (az - signed_sqrt_y) / m, m, stat
+        keep = resid <= cfg.alpha_h_prime * stat
+        coeff = np.subtract(az, signed_sqrt_y, out=np.zeros(m), where=keep)
+    return rows.T @ coeff / m, np.count_nonzero(keep), stat
 
 
 def mtwf_gradient(
@@ -343,6 +344,12 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
     way the trace records every visited iterate, so its length is at most
     ``max_iters`` + 1.  A degenerate initialization (all-zero measurements)
     yields a one-row trace flagged degenerate instead of an exception.
+
+    On fixed data one step is a deterministic function of the iterate, so
+    once z_t equals an earlier z_s bit for bit, iterates s..t-1 repeat with
+    period t - s until the budget runs out (none of them stopped the run
+    early, so no later copy can).  The rest of the trace is then copied
+    from that cycle instead of recomputed; the result is the same bytes.
     """
     init = _initialize(problem, cfg)
     x = problem.signal
@@ -366,11 +373,15 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
     grad_norms: list[float] = []
     converged_at: int | None = None
     gradient_fn = _gradient_fn(cfg.algorithm)
+    visited: dict[bytes, int] = {}  # iterate bytes -> first t; in t order
     t = 0
     while True:
+        cycle_start = visited.setdefault(z.tobytes(), t)
+        if cycle_start != t:
+            break
         err = relative_error(z, x)
         gradient, n_kept, stat = gradient_fn(ensemble, y, z, cfg)
-        g_norm = float(np.linalg.norm(gradient))
+        g_norm = math.sqrt(gradient @ gradient)  # bitwise np.linalg.norm
         errors.append(err)
         kept.append(n_kept)
         stats.append(stat)
@@ -385,12 +396,17 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
             break
         z = z - mu * gradient
         t += 1
+    order = slice(None)
+    if cycle_start != t:  # z_t == z_s: fill t..max_iters from the cycle s..t-1
+        order = np.arange(cfg.max_iters + 1)
+        order[t:] = cycle_start + order[: cfg.max_iters + 1 - t] % (t - cycle_start)
+        z = np.frombuffer(list(visited)[order[-1]], dtype=z.dtype).copy()
     return IterateTrace(
         algorithm=cfg.algorithm,
-        errors=np.array(errors),
-        kept=np.array(kept, dtype=np.int64),
-        median_stat=np.array(stats),
-        gradient_norms=np.array(grad_norms),
+        errors=np.array(errors)[order],
+        kept=np.array(kept, dtype=np.int64)[order],
+        median_stat=np.array(stats)[order],
+        gradient_norms=np.array(grad_norms)[order],
         final_z=z,
         converged_at=converged_at,
     )

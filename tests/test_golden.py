@@ -5,6 +5,12 @@ The hashes pin the exact bytes, so any change to the solvers, the spectral
 init, the seed derivation, cell order or CSV formatting shows here.  They
 were taken with numpy 2.4.6 and OpenBLAS 0.3.31; another BLAS build may
 round a matvec differently and move them (see README "Tests").
+
+The two ``*-replay`` commands run the full 500-iteration budget at n=64,
+where median-RWF and median-TWF end in bitwise cycles, so most of their
+traces are copied by ``run_solver``'s cycle replay rather than computed;
+``noise-replay`` writes every iteration's kept count and statistic.  Their
+hashes were taken before the replay existed.
 """
 
 import hashlib
@@ -42,6 +48,18 @@ GOLDEN = {
         ["poisson", "--n", "16", "--m-over-n", "8", "--trials", "2",
          "--algos", ALGOS, "--s", "0.1", "--max-iters", "40"],
         "764bbddd0e51c703ad3073c289fb3ba2822ef3f3ce027bf9da01486483bdc2f2",
+    ),
+    "sweep-replay": (
+        ["outlier-sweep", "--n", "64", "--m-over-n", "8", "--s", "0.1",
+         "--eta-max-rel", "1", "--algos", "median-twf,median-rwf", "--trials", "2",
+         "--max-iters", "500"],
+        "fdbc3dba744e919eb086dfe003cdd2c249b4ae09a747874b96139fbe5009f81d",
+    ),
+    "noise-replay": (
+        ["noise-curve", "--n", "64", "--m-over-n", "8", "--trials", "1",
+         "--algos", "median-twf,median-rwf,twf", "--s", "0.1", "--w-max-rel", "0.01,0",
+         "--max-iters", "500"],
+        "78a0bdbe0b28220b6dbc4cc645071e6653081ee59bb8f902206bef0d22a63e6f",
     ),
 }
 

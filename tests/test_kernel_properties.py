@@ -11,7 +11,11 @@ truncation argument relies on:
 * power-of-two scaling z -> c z, y -> c^2 y: the gradient scales by c
   exactly;
 * trimean-twf: the statistic is the mean of the m - ceil(s m) smallest
-  intensity residuals.
+  intensity residuals;
+* oracle: (gradient, kept count, statistic) equal bit for bit those of a
+  reference copy of the kernel as first written, with its all-ones and
+  all-zeros buffers and fancy-index gathers and scatters, on measurements
+  that include zero and negative entries.
 """
 
 import math
@@ -30,6 +34,7 @@ from robustphase import (  # noqa: E402
     mrwf_gradient,
     mtwf_gradient,
     rwf_gradient,
+    sample_quantile,
     trimean_twf_gradient,
     twf_gradient,
 )
@@ -54,12 +59,14 @@ PROPERTY = settings(deadline=None, max_examples=25)
 
 
 @st.composite
-def instances(draw, integer_rows=False):
+def instances(draw, integer_rows=False, signed_y=False):
     """(ensemble, y, z, rng) with Gaussian or small-integer sensing rows.
 
     Integer rows and an integer iterate make every a_i . z exact, so a row
     permutation cannot move a residual by the BLAS's position-dependent
-    summation order.
+    summation order; they also make some a_i . z exactly zero.  With
+    ``signed_y`` a drawn share of the measurements is set to zero and
+    another is made negative, as arbitrary outliers may.
     """
     n = draw(st.integers(2, 10))
     m = draw(st.integers(4 * n, 96))
@@ -77,6 +84,10 @@ def instances(draw, integer_rows=False):
         z = np.round(4.0 * z)
     if not np.any(z):
         z[0] = 1.0
+    if signed_y:
+        y[rng.random(m) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+        negative = rng.random(m) < draw(st.sampled_from([0.05, 0.2]))
+        y[negative] = -rng.uniform(0.0, 2.0 * float(x @ x), int(negative.sum()))
     return SensingEnsemble(rows=rows, seed=0), y, z, rng
 
 
@@ -137,3 +148,73 @@ def test_trimmed_statistic_is_mean_of_smallest_residuals(instance):
     smallest = np.sort(np.argsort(resid)[:keep])  # in row order, as summed
     assert stat == float(resid[smallest].mean())
     assert kept <= keep
+
+
+def _reference_gradient(ensemble, y, z, cfg, loss, statistic):
+    # The kernel as first written, kept verbatim apart from its input checks
+    # (the shape, zero-iterate and known_s guards); the median is the
+    # generic quantile at p = 1/2.
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    z_norm = float(np.linalg.norm(z))
+    rows = ensemble.rows
+    m = ensemble.m
+    az = rows @ z
+    if loss == "intensity":
+        resid = np.abs(y - az**2)
+    else:
+        sqrt_y = np.sqrt(np.maximum(y, 0.0))
+        resid = np.abs(sqrt_y - np.abs(az))
+
+    active = np.ones(m, dtype=bool)
+    if statistic == "mean":
+        stat = float(resid.mean())
+    elif statistic == "trimmed":
+        drop = math.ceil(cfg.known_s * m)
+        if drop > 0:
+            order = np.argsort(resid, kind="stable")
+            active[order[m - drop :]] = False
+        if not active.any():
+            return np.zeros(ensemble.n), 0, 0.0
+        stat = float(resid[active].mean())
+    else:
+        stat = sample_quantile(resid, 0.5)
+
+    coeff = np.zeros(m)
+    if loss == "intensity":
+        abs_az = np.abs(az)
+        e1 = (abs_az >= cfg.alpha_l * z_norm) & (abs_az <= cfg.alpha_u * z_norm)
+        e2 = resid <= cfg.alpha_h * stat * abs_az / z_norm
+        keep = active & e1 & e2
+        coeff[keep] = (az[keep] ** 2 - y[keep]) / az[keep]
+    else:
+        keep = active if statistic == "none" else resid <= cfg.alpha_h_prime * stat
+        sign = np.where(az >= 0.0, 1.0, -1.0)
+        coeff[keep] = az[keep] - sqrt_y[keep] * sign[keep]
+    gradient = rows.T @ coeff / m
+    return gradient, int(keep.sum()), stat
+
+
+# (loss, statistic) of each public gradient function
+LOSS_STATISTIC = {
+    "median-twf": ("intensity", "median"),
+    "twf": ("intensity", "mean"),
+    "trimean-twf": ("intensity", "trimmed"),
+    "median-rwf": ("amplitude", "median"),
+    "rwf": ("amplitude", "none"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@PROPERTY
+@given(st.one_of(instances(signed_y=True), instances(integer_rows=True, signed_y=True)))
+def test_kernel_matches_reference_bit_for_bit(name, instance):
+    ensemble, y, z, _ = instance
+    fn, cfg, _ = KERNELS[name]
+    grad, kept, stat = fn(ensemble, y, z, cfg)
+    ref_grad, ref_kept, ref_stat = _reference_gradient(
+        ensemble, y, z, cfg, *LOSS_STATISTIC[name]
+    )
+    assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
+    assert kept == ref_kept
+    assert np.float64(stat).tobytes() == np.float64(ref_stat).tobytes()

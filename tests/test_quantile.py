@@ -285,6 +285,7 @@ def test_chi_square_quantile_rejects_bad_levels():
 
 def test_harness_import_leaves_scipy_integrate_and_optimize_unloaded():
     # A fresh interpreter: this test module itself imports scipy.integrate.
+    # scipy.special is checked too: only the analytic oracles import it.
     package_root = str(Path(robustphase.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -293,7 +294,8 @@ def test_harness_import_leaves_scipy_integrate_and_optimize_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, robustphase.harness; "
-         "print(','.join(m for m in ('scipy.integrate', 'scipy.optimize') "
+         "print(','.join(m for m in ('scipy.integrate', 'scipy.optimize', "
+         "'scipy.special') "
          "if m in sys.modules))"],
         capture_output=True, text=True, timeout=120, env=env,
     )

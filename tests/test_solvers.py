@@ -13,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
+import robustphase.solvers as solvers_module
 from robustphase import (
+    TAG_INIT,
     Algorithm,
     CorruptionSpec,
     InvalidInputError,
@@ -22,7 +24,10 @@ from robustphase import (
     SensingEnsemble,
     SolverConfig,
     clean_measurements,
+    derive_seed,
     generate_problem,
+    mean_spectral_init,
+    median_spectral_init,
     mrwf_gradient,
     mtwf_gradient,
     rc_probe,
@@ -402,6 +407,101 @@ def test_fixed_iteration_mode_runs_to_budget():
     trace = run_solver(prob, cfg)
     assert trace.iterations == 60
     assert len(trace.errors) == 61
+
+
+GRADIENT_NAMES = {
+    Algorithm.MEDIAN_TWF: "mtwf_gradient",
+    Algorithm.MEDIAN_RWF: "mrwf_gradient",
+    Algorithm.MEAN_TWF: "twf_gradient",
+    Algorithm.PLAIN_RWF: "rwf_gradient",
+    Algorithm.TRIMEAN_TWF: "trimean_twf_gradient",
+}
+
+
+def _reference_run(problem, cfg):
+    """run_solver's loop with every iterate computed: no cycle replay."""
+    init_fn = median_spectral_init if cfg.algorithm.uses_median_init else mean_spectral_init
+    init = init_fn(
+        problem.ensemble, problem.measurements.y, alpha_y=cfg.alpha_y,
+        seed=derive_seed(problem.master_seed, TAG_INIT),
+    )
+    gradient_fn = getattr(solvers_module, GRADIENT_NAMES[cfg.algorithm])
+    x, z = problem.signal, init.z0
+    columns, converged_at = [], None
+    for t in range(cfg.max_iters + 1):
+        err = min(np.linalg.norm(z - x), np.linalg.norm(z + x)) / np.linalg.norm(x)
+        gradient, kept, stat = gradient_fn(problem.ensemble, problem.measurements.y, z, cfg)
+        g_norm = np.linalg.norm(gradient)
+        columns.append((err, kept, stat, g_norm))
+        if converged_at is None and err <= cfg.success_tol:
+            converged_at = t
+        if not cfg.fixed_iterations and (converged_at is not None or g_norm <= 1e-14):
+            break
+        if t < cfg.max_iters:
+            z = z - cfg.step_size * gradient
+    errors, kept, stats, g_norms = (np.array(c) for c in zip(*columns))
+    return errors, kept.astype(np.int64), stats, g_norms, z, converged_at
+
+
+def _scaled(problem, c):
+    # With c a power of two, iterates and gradients scale by c (the kernel's
+    # scaling property) while relative errors stay as they were.
+    return dataclasses.replace(
+        problem,
+        signal=c * problem.signal,
+        measurements=dataclasses.replace(
+            problem.measurements, y=c * c * problem.measurements.y
+        ),
+    )
+
+
+REPLAY_PROBLEM = dict(
+    n=64, m=512, spec=CorruptionSpec(outlier_fraction=0.1, eta_max_rel=1.0), master_seed=1
+)
+
+
+@pytest.mark.parametrize(
+    "algorithm, fixed, scale, tol, period",
+    [
+        # median-RWF reaches a bitwise fixed point.
+        (Algorithm.MEDIAN_RWF, True, 1.0, 1e-8, 1),
+        # median-TWF ends in a cycle of two iterates.
+        (Algorithm.MEDIAN_TWF, True, 1.0, 1e-8, 2),
+        # Early stopping on: the same cycle scaled by 2^40 keeps every
+        # gradient norm above the 1e-14 floor, and no error reaches a
+        # 1e-20 tolerance, so the run cycles instead of stopping.
+        (Algorithm.MEDIAN_TWF, False, 2.0**40, 1e-20, 2),
+    ],
+)
+def test_cycle_replay_matches_full_recomputation(
+    algorithm, fixed, scale, tol, period, monkeypatch
+):
+    problem = _scaled(generate_problem(**REPLAY_PROBLEM), scale)
+    cfg = SolverConfig(
+        algorithm=algorithm, max_iters=500, fixed_iterations=fixed, success_tol=tol
+    )
+    errors, kept, stats, g_norms, final_z, converged_at = _reference_run(problem, cfg)
+    assert len(errors) == cfg.max_iters + 1
+    # The reference trace really ends in a cycle of the expected period.
+    assert errors[-period:].tobytes() == errors[-2 * period : -period].tobytes()
+    assert fixed or min(g_norms) > 1e-14
+
+    name = GRADIENT_NAMES[algorithm]
+    original, calls = getattr(solvers_module, name), []
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(solvers_module, name, counting)
+    trace = run_solver(problem, cfg)
+    assert len(calls) < cfg.max_iters + 1  # the tail was replayed, not recomputed
+    assert trace.errors.tobytes() == errors.tobytes()
+    assert trace.kept.tobytes() == kept.tobytes()
+    assert trace.median_stat.tobytes() == stats.tobytes()
+    assert trace.gradient_norms.tobytes() == g_norms.tobytes()
+    assert trace.final_z.tobytes() == final_z.tobytes()
+    assert trace.converged_at == converged_at
 
 
 def test_degenerate_measurements_flagged_not_raised():
