@@ -15,10 +15,8 @@ from .errors import (
     RobustPhaseError,
 )
 from .metrics import (
-    TrialOutcome,
     dist,
     is_success,
-    outcome_from_errors,
     relative_error,
     residual_median_stats,
     sign_flip_fraction,
@@ -31,15 +29,12 @@ from .model import (
     CorruptionSpec,
     MeasurementSet,
     OutlierModel,
-    Placement,
     ProblemInstance,
     SensingEnsemble,
     apply_corruption,
     clean_measurements,
     derive_seed,
     generate_problem,
-    problem_from_json,
-    problem_to_json,
     sample_ensemble,
     sample_signal,
 )
@@ -65,12 +60,12 @@ from .solvers import (
     validate_twf_params,
 )
 from .spectral import (
+    MEDIAN_INTENSITY_CALIBRATION,
     InitResult,
     leading_eigenvector,
     mean_spectral_init,
     median_spectral_init,
     scale_estimate,
-    surrogate_apply,
 )
 
 __version__ = "0.1.0"

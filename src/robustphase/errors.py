@@ -7,6 +7,8 @@ Three failure classes cover the whole pipeline:
 * measurement sets too degenerate to initialize from.
 """
 
+from enum import Enum
+
 
 class RobustPhaseError(Exception):
     """Base class for all package-specific errors."""
@@ -22,3 +24,14 @@ class NumericalFailure(RobustPhaseError, ArithmeticError):
 
 class DegenerateMeasurements(RobustPhaseError):
     """Measurements carry no usable scale or direction information."""
+
+
+def _parse_choice(kind: type[Enum], value) -> Enum:
+    """``kind(value)``; an unknown value raises InvalidInputError naming the choices."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise InvalidInputError(
+            f"{value!r} is not a valid {kind.__name__}; choose from "
+            + ", ".join(c.value for c in kind)
+        ) from None

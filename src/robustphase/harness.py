@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _parse_choice
 from .metrics import is_success
 from .model import CorruptionSpec, OutlierModel, derive_seed, generate_problem
 from .solvers import Algorithm, IterateTrace, SolverConfig, run_solver
@@ -113,12 +113,7 @@ class ExperimentConfig:
             raise InvalidInputError(f"outlier fractions must lie in [0, 0.5): {self.s_values}")
         if not all(0.0 <= v < math.inf for v in (*self.eta_values, *self.w_values)):
             raise InvalidInputError("eta and w magnitudes must be finite and nonnegative")
-        try:
-            algorithms = tuple(map(Algorithm, self.algorithms))
-        except ValueError as exc:
-            raise InvalidInputError(
-                f"{exc}; choose from " + ", ".join(a.value for a in Algorithm)
-            ) from None
+        algorithms = tuple(_parse_choice(Algorithm, a) for a in self.algorithms)
         object.__setattr__(self, "algorithms", algorithms)
 
 

@@ -8,7 +8,6 @@ sign flip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +21,6 @@ __all__ = [
     "is_success",
     "sign_flip_fraction",
     "residual_median_stats",
-    "TrialOutcome",
-    "outcome_from_errors",
 ]
 
 
@@ -106,42 +103,4 @@ def residual_median_stats(
         sample_median(resid),
         sample_quantile(resid, 0.49),
         sample_quantile(resid, 0.51),
-    )
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Summary of one solver run against one planted signal.
-
-    ``decade_hits`` maps k to the first iterate whose relative error
-    dropped below 10^-k, for every decade the trace reached.
-    """
-
-    success: bool
-    final_relative_error: float
-    iterations_used: int
-    decade_hits: dict[int, int]
-
-
-def outcome_from_errors(errors: np.ndarray, tol: float = 1e-8) -> TrialOutcome:
-    """Build a TrialOutcome from a per-iterate relative-error trace."""
-    errors = np.asarray(errors, dtype=float)
-    if errors.ndim != 1 or errors.size == 0:
-        raise InvalidInputError("error trace must be a nonempty 1-D array")
-    final = float(errors[-1])
-    hits: dict[int, int] = {}
-    positive = errors[errors > 0.0]
-    if positive.size:
-        deepest = int(np.floor(-np.log10(positive.min())))
-    else:
-        deepest = 16
-    for k in range(1, max(deepest, 0) + 1):
-        below = np.flatnonzero(errors < 10.0 ** (-k))
-        if below.size:
-            hits[k] = int(below[0])
-    return TrialOutcome(
-        success=is_success(final, tol),
-        final_relative_error=final,
-        iterations_used=len(errors) - 1,
-        decade_hits=hits,
     )

@@ -16,19 +16,18 @@ keyed by ``numpy.random.SeedSequence``.  Sub-streams are derived by hashing
 ensemble, and corruption streams are independent and any one of them can be
 re-derived without touching the others.  Within ``apply_corruption`` the
 draw order is fixed and documented: Poisson resampling, dense noise,
-outlier placement, outlier signs, outlier values.
+outlier placement, outlier values.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _parse_choice
 
 __all__ = [
     "TAG_SIGNAL",
@@ -41,14 +40,11 @@ __all__ = [
     "sample_ensemble",
     "clean_measurements",
     "OutlierModel",
-    "Placement",
     "CorruptionSpec",
     "MeasurementSet",
     "apply_corruption",
     "ProblemInstance",
     "generate_problem",
-    "problem_to_json",
-    "problem_from_json",
 ]
 
 # Component tags hashed together with a master seed to key sub-streams.
@@ -121,30 +117,21 @@ class OutlierModel(str, Enum):
     INTEGER_UNIFORM = "integer_uniform"  # round(||x||^2 * U(0, 1))
 
 
-class Placement(str, Enum):
-    """How the outlier support is chosen."""
-
-    BERNOULLI = "bernoulli"        # each index independently with prob s
-    EXACT_COUNT = "exact_count"    # exactly floor(s * m) distinct indices
-
-
 @dataclass(frozen=True)
 class CorruptionSpec:
     """Declarative description of how measurements are corrupted.
 
     All magnitudes are relative to the signal power ||x||^2.  The fraction
     of outliers must stay below 1/2; beyond that no median-based method can
-    identify the clean majority.
+    identify the clean majority.  Each index is an outlier independently
+    with probability ``outlier_fraction``.
     """
 
     outlier_fraction: float = 0.0
     outlier_model: OutlierModel = OutlierModel.UNIFORM
-    placement: Placement = Placement.BERNOULLI
     eta_max_rel: float = 0.0
     w_max_rel: float = 0.0
     poisson: bool = False
-    symmetric_outliers: bool = False
-    noise_norm: str = "l2"  # norm used by NOISE_NORM outliers: "l2" or "linf"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.outlier_fraction < 0.5:
@@ -153,11 +140,8 @@ class CorruptionSpec:
             )
         if not (0.0 <= self.eta_max_rel < math.inf and 0.0 <= self.w_max_rel < math.inf):
             raise InvalidInputError("corruption magnitudes must be finite and nonnegative")
-        if self.noise_norm not in ("l2", "linf"):
-            raise InvalidInputError(f"unknown noise norm {self.noise_norm!r}")
-        # Coerce plain strings so specs deserialize cleanly from JSON.
-        object.__setattr__(self, "outlier_model", OutlierModel(self.outlier_model))
-        object.__setattr__(self, "placement", Placement(self.placement))
+        # Input validation: plain strings coerce to the enum, unknown ones raise.
+        object.__setattr__(self, "outlier_model", _parse_choice(OutlierModel, self.outlier_model))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +151,6 @@ class MeasurementSet:
     y: np.ndarray
     outlier_support: np.ndarray  # sorted int indices
     noise: np.ndarray            # the dense-noise vector w
-
-    @property
-    def m(self) -> int:
-        return self.y.shape[0]
 
 
 def _poisson_single(rng: np.random.Generator, mean: float) -> int:
@@ -261,32 +241,23 @@ def apply_corruption(
     noise = rng.uniform(0.0, w_max, size=m) if w_max > 0.0 else np.zeros(m)
 
     if s > 0.0:
-        if spec.placement is Placement.BERNOULLI:
-            support = np.flatnonzero(rng.random(m) < s)
-        else:
-            count = int(math.floor(s * m))
-            support = np.sort(rng.permutation(m)[:count])
+        support = np.flatnonzero(rng.random(m) < s)
     else:
         support = np.empty(0, dtype=np.int64)
     k = support.size
-
-    signs = np.ones(k)
-    if spec.symmetric_outliers and k > 0:
-        signs = np.where(rng.random(k) < 0.5, -1.0, 1.0)
 
     if k > 0:
         if spec.outlier_model is OutlierModel.UNIFORM:
             values = rng.uniform(0.0, spec.eta_max_rel * signal_power, size=k)
         elif spec.outlier_model is OutlierModel.NOISE_NORM:
-            ord_ = 2 if spec.noise_norm == "l2" else np.inf
-            values = np.full(k, np.linalg.norm(noise, ord_))
+            values = np.full(k, np.linalg.norm(noise))
         else:
             values = np.round(signal_power * rng.random(k))
     else:
         values = np.empty(0)
 
     y = base + noise
-    y[support] += signs * values
+    y[support] += values
     return MeasurementSet(y=y, outlier_support=support.astype(np.int64), noise=noise)
 
 
@@ -299,7 +270,6 @@ class ProblemInstance:
     measurements: MeasurementSet
     corruption: CorruptionSpec
     master_seed: int
-    corruption_seed: int | None = None
 
     @property
     def n(self) -> int:
@@ -309,72 +279,29 @@ class ProblemInstance:
     def m(self) -> int:
         return self.ensemble.m
 
-    @property
-    def signal_norm(self) -> float:
-        return float(np.linalg.norm(self.signal))
-
-    def clean(self) -> np.ndarray:
-        return clean_measurements(self.ensemble, self.signal)
-
 
 def generate_problem(
     n: int,
     m: int,
     spec: CorruptionSpec,
     master_seed: int,
-    corruption_seed: int | None = None,
 ) -> ProblemInstance:
     """Generate a reproducible problem instance from a single master seed.
 
     Sub-seeds are ``derive_seed(master_seed, tag)`` with the component tags
-    TAG_SIGNAL, TAG_ENSEMBLE, TAG_CORRUPTION, so changing only the corruption
-    stream (via ``corruption_seed``) leaves the signal and ensemble bitwise
-    unchanged.
+    TAG_SIGNAL, TAG_ENSEMBLE, TAG_CORRUPTION, so the signal, ensemble and
+    corruption streams are independent of one another.
     """
     signal = sample_signal(n, derive_seed(master_seed, TAG_SIGNAL))
     ensemble = sample_ensemble(n, m, derive_seed(master_seed, TAG_ENSEMBLE))
-    cseed = (
-        int(corruption_seed)
-        if corruption_seed is not None
-        else derive_seed(master_seed, TAG_CORRUPTION)
-    )
     clean = clean_measurements(ensemble, signal)
-    measurements = apply_corruption(clean, spec, float(np.linalg.norm(signal)), cseed)
+    measurements = apply_corruption(
+        clean, spec, float(np.linalg.norm(signal)), derive_seed(master_seed, TAG_CORRUPTION)
+    )
     return ProblemInstance(
         signal=signal,
         ensemble=ensemble,
         measurements=measurements,
         corruption=spec,
         master_seed=int(master_seed),
-        corruption_seed=corruption_seed,
-    )
-
-
-_JSON_FORMAT = 1
-
-
-def problem_to_json(problem: ProblemInstance) -> str:
-    """Serialize a problem as dimensions plus seeds; matrices are never stored."""
-    spec = asdict(problem.corruption)
-    spec["outlier_model"] = problem.corruption.outlier_model.value
-    spec["placement"] = problem.corruption.placement.value
-    doc = {
-        "format": _JSON_FORMAT,
-        "n": problem.n,
-        "m": problem.m,
-        "master_seed": problem.master_seed,
-        "corruption_seed": problem.corruption_seed,
-        "corruption": spec,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def problem_from_json(text: str) -> ProblemInstance:
-    """Rebuild a problem from its JSON description by regenerating from seeds."""
-    doc = json.loads(text)
-    if doc.get("format") != _JSON_FORMAT:
-        raise InvalidInputError(f"unsupported problem format {doc.get('format')!r}")
-    spec = CorruptionSpec(**doc["corruption"])
-    return generate_problem(
-        doc["n"], doc["m"], spec, doc["master_seed"], doc.get("corruption_seed")
     )

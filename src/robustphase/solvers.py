@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _parse_choice
 from .metrics import dist, relative_error
 from .model import TAG_INIT, ProblemInstance, SensingEnsemble, derive_seed
 from .quantile import sample_median
@@ -89,14 +89,13 @@ class Algorithm(str, Enum):
 class SolverConfig:
     """Algorithm choice plus every tunable the iteration reads.
 
-    The step size defaults to 0.4 for the intensity (TWF) family and 0.8
-    for the amplitude (RWF) family when left unset.  ``fixed_iterations``
-    disables early stopping so traces always reach ``max_iters``, which the
-    experiment harness uses for figure-style convergence curves.
+    The step size is fixed at 0.4 for the intensity (TWF) family and 0.8
+    for the amplitude (RWF) family.  ``fixed_iterations`` disables early
+    stopping so traces always reach ``max_iters``, which the experiment
+    harness uses for figure-style convergence curves.
     """
 
     algorithm: Algorithm
-    mu: float | None = None
     alpha_l: float = 0.3
     alpha_u: float = 5.0
     alpha_y: float = 3.0
@@ -108,9 +107,7 @@ class SolverConfig:
     known_s: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
-        if self.mu is not None and not self.mu > 0.0:
-            raise InvalidInputError(f"step size must be positive, got {self.mu}")
+        object.__setattr__(self, "algorithm", _parse_choice(Algorithm, self.algorithm))
         if not 0.0 < self.alpha_l <= self.alpha_u:
             raise InvalidInputError(
                 f"need 0 < alpha_l <= alpha_u, got ({self.alpha_l}, {self.alpha_u})"
@@ -128,8 +125,6 @@ class SolverConfig:
 
     @property
     def step_size(self) -> float:
-        if self.mu is not None:
-            return self.mu
         return 0.4 if self.algorithm.is_twf_family else 0.8
 
 

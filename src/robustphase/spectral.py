@@ -33,7 +33,6 @@ __all__ = [
     "MEDIAN_INTENSITY_CALIBRATION",
     "InitResult",
     "scale_estimate",
-    "surrogate_apply",
     "leading_eigenvector",
     "median_spectral_init",
     "mean_spectral_init",
@@ -77,31 +76,6 @@ def _surrogate_weights(y: np.ndarray, alpha_y: float, lambda0: float) -> tuple[n
 
 def _weighted_apply(ensemble: SensingEnsemble, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
     return ensemble.rows.T @ (weights * (ensemble.rows @ v)) / ensemble.m
-
-
-def surrogate_apply(
-    ensemble: SensingEnsemble,
-    y: np.ndarray,
-    alpha_y: float,
-    lambda0: float,
-    v: np.ndarray,
-) -> np.ndarray:
-    """Apply the truncated surrogate matrix Y to v without materializing it.
-
-    Computes (1/m) * A^T (mask * y * (A v)) with mask_i = 1{|y_i| <=
-    alpha_y^2 lambda0^2}, in O(mn) time and O(m + n) extra space.
-    """
-    if alpha_y <= 0.0:
-        raise InvalidInputError(f"alpha_y must be positive, got {alpha_y}")
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if y.shape != (ensemble.m,) or v.shape != (ensemble.n,):
-        raise InvalidInputError(
-            f"shape mismatch: y {y.shape}, v {v.shape} vs ensemble "
-            f"({ensemble.m}, {ensemble.n})"
-        )
-    weights, _ = _surrogate_weights(y, alpha_y, lambda0)
-    return _weighted_apply(ensemble, weights, v)
 
 
 def leading_eigenvector(

@@ -7,6 +7,7 @@ borderline trial.
 """
 
 import csv
+import importlib
 import math
 import os
 import subprocess
@@ -24,7 +25,6 @@ from robustphase import (
     CorruptionSpec,
     InvalidInputError,
     OutlierModel,
-    Placement,
     derive_seed,
 )
 from robustphase.harness import (
@@ -84,7 +84,6 @@ def test_run_trial_mean_twf_fails_under_outliers():
     spec = CorruptionSpec(
         outlier_fraction=0.3,
         outlier_model=OutlierModel.UNIFORM,
-        placement=Placement.BERNOULLI,
         eta_max_rel=1.0,
     )
     row, _ = run_trial(
@@ -688,3 +687,17 @@ def test_main_raises_system_exit(tmp_path, monkeypatch):
         main()
     assert exc.value.code == 0
     assert out.exists()
+
+
+# ---------------------------------------------------------- package surface
+
+
+def test_package_reexports_every_public_name():
+    """Every module ``__all__`` outside the harness is reachable from the package."""
+    for name in ("model", "metrics", "quantile", "solvers", "spectral"):
+        module = importlib.import_module(f"robustphase.{name}")
+        missing = [n for n in module.__all__ if not hasattr(robustphase, n)]
+        assert not missing, f"robustphase does not re-export {name}: {missing}"
+    for gone in ("Placement", "problem_to_json", "problem_from_json", "TrialOutcome",
+                 "outcome_from_errors", "surrogate_apply"):
+        assert not hasattr(robustphase, gone), gone

@@ -1,4 +1,4 @@
-"""Distance, success, and trace-summary metrics."""
+"""Distance, success, and concentration metrics."""
 
 import math
 
@@ -10,7 +10,6 @@ from robustphase import (
     SensingEnsemble,
     dist,
     is_success,
-    outcome_from_errors,
     relative_error,
     residual_median_stats,
     sample_ensemble,
@@ -93,23 +92,3 @@ def test_residual_median_stats_at_truth_and_ordering():
         assert med > 0.0
     with pytest.raises(InvalidInputError):
         residual_median_stats(ens, x, z, "energy")
-
-
-def test_outcome_from_errors_decades():
-    errors = np.array([1.0, 0.5, 0.05, 0.002, 3e-9])
-    out = outcome_from_errors(errors, tol=1e-8)
-    assert out.success
-    assert out.final_relative_error == 3e-9
-    assert out.iterations_used == 4
-    assert out.decade_hits[1] == 2   # first error below 1e-1
-    assert out.decade_hits[2] == 3
-    assert out.decade_hits[8] == 4
-    assert 9 not in out.decade_hits  # 3e-9 is above 1e-9
-
-
-def test_outcome_from_errors_failure_case():
-    out = outcome_from_errors(np.array([1.0, 0.9, 0.8]), tol=1e-8)
-    assert not out.success
-    assert out.decade_hits == {}
-    with pytest.raises(InvalidInputError):
-        outcome_from_errors(np.array([]))

@@ -15,7 +15,6 @@ from robustphase import (
     CorruptionSpec,
     InvalidInputError,
     OutlierModel,
-    Placement,
     SensingEnsemble,
     TAG_CORRUPTION,
     TAG_ENSEMBLE,
@@ -24,8 +23,6 @@ from robustphase import (
     clean_measurements,
     derive_seed,
     generate_problem,
-    problem_from_json,
-    problem_to_json,
     sample_ensemble,
     sample_signal,
 )
@@ -135,12 +132,11 @@ def test_corruption_spec_validation():
             CorruptionSpec(eta_max_rel=bad)
         with pytest.raises(InvalidInputError):
             CorruptionSpec(w_max_rel=bad)
-    with pytest.raises(InvalidInputError):
-        CorruptionSpec(noise_norm="l1")
-    # plain strings coerce to the enums (JSON round-trip path)
-    spec = CorruptionSpec(outlier_model="uniform", placement="exact_count")
+    with pytest.raises(InvalidInputError, match="choose from uniform, noise_norm"):
+        CorruptionSpec(outlier_model="bogus")
+    # plain strings coerce to the enum
+    spec = CorruptionSpec(outlier_model="uniform")
     assert spec.outlier_model is OutlierModel.UNIFORM
-    assert spec.placement is Placement.EXACT_COUNT
 
 
 def test_no_corruption_is_identity():
@@ -149,23 +145,6 @@ def test_no_corruption_is_identity():
     np.testing.assert_array_equal(ms.y, clean)
     assert ms.outlier_support.size == 0
     np.testing.assert_array_equal(ms.noise, np.zeros(3))
-
-
-def test_exact_count_places_floor_sm_outliers():
-    clean = np.zeros(100)
-    spec = CorruptionSpec(
-        outlier_fraction=0.1,
-        placement=Placement.EXACT_COUNT,
-        eta_max_rel=1.0,
-    )
-    ms = apply_corruption(clean, spec, x_norm=1.0, seed=4)
-    assert ms.outlier_support.size == 10
-    assert np.unique(ms.outlier_support).size == 10
-    assert np.all(np.diff(ms.outlier_support) > 0)
-    # |support| <= ceil(s*m) also for the fractional case
-    ms2 = apply_corruption(np.zeros(105), spec, x_norm=1.0, seed=4)
-    assert ms2.outlier_support.size == math.floor(0.1 * 105)
-    assert ms2.outlier_support.size <= math.ceil(0.1 * 105)
 
 
 def test_bernoulli_support_size_is_binomial():
@@ -196,30 +175,17 @@ def test_reconstruction_identity_off_support():
     assert np.all(eta <= 5.0 * power * (1.0 + 1e-12))
 
 
-def test_uniform_outliers_nonnegative_by_default_symmetric_on_request():
-    clean = np.zeros(2000)
-    base = dict(outlier_fraction=0.3, eta_max_rel=2.0)
-    ms = apply_corruption(clean, CorruptionSpec(**base), x_norm=1.0, seed=11)
-    assert np.all(ms.y[ms.outlier_support] >= 0.0)
-    sym = CorruptionSpec(symmetric_outliers=True, **base)
-    ms2 = apply_corruption(clean, sym, x_norm=1.0, seed=11)
-    deltas = ms2.y[ms2.outlier_support]
-    assert np.any(deltas > 0.0) and np.any(deltas < 0.0)
-
-
 def test_noise_norm_outliers_equal_dense_noise_norm():
     clean = np.zeros(500)
-    for norm_kind, ord_ in (("l2", 2), ("linf", np.inf)):
-        spec = CorruptionSpec(
-            outlier_fraction=0.1,
-            outlier_model=OutlierModel.NOISE_NORM,
-            w_max_rel=0.02,
-            noise_norm=norm_kind,
-        )
-        ms = apply_corruption(clean, spec, x_norm=3.0, seed=12)
-        eta = ms.y - clean - ms.noise
-        want = float(np.linalg.norm(ms.noise, ord_))
-        np.testing.assert_allclose(eta[ms.outlier_support], want, rtol=1e-14)
+    spec = CorruptionSpec(
+        outlier_fraction=0.1,
+        outlier_model=OutlierModel.NOISE_NORM,
+        w_max_rel=0.02,
+    )
+    ms = apply_corruption(clean, spec, x_norm=3.0, seed=12)
+    eta = ms.y - clean - ms.noise
+    want = float(np.linalg.norm(ms.noise, 2))
+    np.testing.assert_allclose(eta[ms.outlier_support], want, rtol=1e-14)
 
 
 def test_integer_uniform_outliers_are_bounded_integers():
@@ -283,7 +249,9 @@ def test_generate_problem_bitwise_deterministic():
 
 def test_generate_problem_clean_when_spec_is_empty():
     prob = generate_problem(9, 60, CorruptionSpec(), master_seed=21)
-    np.testing.assert_array_equal(prob.measurements.y, prob.clean())
+    np.testing.assert_array_equal(
+        prob.measurements.y, clean_measurements(prob.ensemble, prob.signal)
+    )
     assert prob.measurements.outlier_support.size == 0
 
 
@@ -304,30 +272,3 @@ def test_corruption_is_sign_invariant_in_the_signal():
     a = apply_corruption(clean_measurements(ens, x), spec, norm, seed=32)
     b = apply_corruption(clean_measurements(ens, -x), spec, norm, seed=32)
     np.testing.assert_array_equal(a.y, b.y)
-
-
-def test_corruption_seed_isolated_from_signal_and_ensemble():
-    spec = CorruptionSpec(outlier_fraction=0.1, eta_max_rel=1.0)
-    a = generate_problem(10, 50, spec, master_seed=5, corruption_seed=100)
-    b = generate_problem(10, 50, spec, master_seed=5, corruption_seed=101)
-    np.testing.assert_array_equal(a.signal, b.signal)
-    np.testing.assert_array_equal(a.ensemble.rows, b.ensemble.rows)
-    assert not np.array_equal(a.measurements.y, b.measurements.y)
-
-
-def test_problem_json_round_trip():
-    spec = CorruptionSpec(
-        outlier_fraction=0.15,
-        outlier_model=OutlierModel.INTEGER_UNIFORM,
-        placement=Placement.EXACT_COUNT,
-        w_max_rel=0.001,
-        symmetric_outliers=True,
-    )
-    prob = generate_problem(7, 35, spec, master_seed=99, corruption_seed=7)
-    clone = problem_from_json(problem_to_json(prob))
-    np.testing.assert_array_equal(prob.signal, clone.signal)
-    np.testing.assert_array_equal(prob.ensemble.rows, clone.ensemble.rows)
-    np.testing.assert_array_equal(prob.measurements.y, clone.measurements.y)
-    assert clone.corruption == prob.corruption
-    with pytest.raises(InvalidInputError):
-        problem_from_json('{"format": 99}')

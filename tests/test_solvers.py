@@ -57,8 +57,8 @@ ZETA2_DEFAULT = 0.03125983309305114
 
 
 def test_config_validation():
-    with pytest.raises(InvalidInputError):
-        SolverConfig(algorithm=Algorithm.MEDIAN_TWF, mu=0.0)
+    with pytest.raises(InvalidInputError, match="choose from median-twf, median-rwf"):
+        SolverConfig(algorithm="bogus")
     with pytest.raises(InvalidInputError):
         SolverConfig(algorithm=Algorithm.MEDIAN_TWF, alpha_l=0.0)
     with pytest.raises(InvalidInputError):
@@ -83,7 +83,6 @@ def test_config_step_size_defaults():
     assert SolverConfig(algorithm=Algorithm.TRIMEAN_TWF, known_s=0.1).step_size == 0.4
     assert MRWF.step_size == 0.8
     assert SolverConfig(algorithm=Algorithm.PLAIN_RWF).step_size == 0.8
-    assert SolverConfig(algorithm=Algorithm.MEDIAN_TWF, mu=0.25).step_size == 0.25
 
 
 def test_config_accepts_string_algorithm():
