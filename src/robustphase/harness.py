@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise InvalidInputError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:
             raise InvalidInputError(f"threads must be >= 1, got {self.threads}")
+        if self.master_seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.master_seed}")
         if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0.0 < self.tol < math.inf:

@@ -1,8 +1,8 @@
 """Spectral initialization from (possibly corrupted) intensity measurements.
 
 The initial iterate is z0 = lambda0 * v where lambda0 estimates the signal
-norm and v is the leading eigenvector, computed matrix-free by power
-iteration, of the truncated weighted covariance
+norm and v is the leading eigenvector, computed matrix-free by Lanczos, of
+the truncated weighted covariance
 
     Y = (1/m) sum_i  y_i a_i a_i^T 1{|y_i| <= alpha_y^2 lambda0^2}.
 
@@ -12,7 +12,7 @@ variant used by the baselines divides by its mean (which is 1) and is
 fragile under outliers by design.
 
 Arbitrary outliers can push some y_i negative, making Y indefinite; the
-mask deliberately thresholds |y_i|, and the power iteration tracks the
+mask deliberately thresholds |y_i|, and the eigensolver tracks the
 eigenvalue largest in magnitude, returning its direction even when the
 eigenvalue is negative.
 """
@@ -50,7 +50,7 @@ class InitResult:
     z0: np.ndarray
     lambda0: float
     truncated_count: int  # samples kept by the mask
-    power_iters: int
+    power_iters: int  # operator applies made by the Lanczos eigensolver
     converged: bool
     degenerate: bool = False
 
@@ -85,20 +85,23 @@ def leading_eigenvector(
     max_iters: int = 200,
     seed: int = 0,
 ) -> tuple[np.ndarray, int, bool]:
-    """Dominant eigenvector direction of a symmetric operator by power iteration.
+    """Dominant eigenvector direction of a symmetric operator by Lanczos.
 
-    Convergence is declared when the angle between successive iterates drops
-    to ``tol``; the absolute inner product is used, so eigenvalues that are
-    negative (sign-flipping iterates) converge too.  If the budget runs out
-    the best iterate is returned flagged non-converged rather than raising:
-    downstream theory only needs an approximate direction.
+    Each new Krylov vector is orthogonalised twice against the whole stored
+    basis, so the tridiagonal projection T stays exact to rounding.  Of T's
+    Ritz pairs (theta_j, s_j) the one with theta_j largest in magnitude is
+    tracked, so a dominant negative eigenvalue wins too.  Convergence is
+    declared when its Ritz residual ``beta_k |s_kj|`` drops to
+    ``tol |theta_j|``.  After ``min(max_iters, n)`` operator applications the
+    current Ritz vector is returned flagged non-converged rather than
+    raising: downstream theory only needs an approximate direction.
 
     Raises:
         NumericalFailure: the operator's output has an infinite or NaN norm,
             so no direction can be recovered from it.
 
     Returns:
-        (unit vector, iterations used, converged flag).
+        (unit vector, operator applications, converged flag).
     """
     if tol <= 0.0:
         raise InvalidInputError(f"tolerance must be positive, got {tol}")
@@ -106,23 +109,30 @@ def leading_eigenvector(
         raise InvalidInputError("n and max_iters must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        w = apply(v)
+    basis = np.empty((min(max_iters, n), n))
+    basis[0] = v / np.linalg.norm(v)
+    alphas: list[float] = []
+    betas: list[float] = []
+    for k in range(len(basis)):
+        w = apply(basis[k])
         norm_w = np.linalg.norm(w)
         if not math.isfinite(norm_w):
-            raise NumericalFailure(f"power iteration {iters}: operator output norm is {norm_w}")
-        if norm_w == 0.0:
-            # Operator annihilates the iterate; every direction is equally
-            # good, so report the current one as converged.
-            return v, iters, True
-        v_next = w / norm_w
-        angle = math.acos(min(1.0, abs(float(v @ v_next))))
-        v = v_next
-        if angle <= tol:
-            return v, iters, True
-    return v, iters, False
+            raise NumericalFailure(f"Lanczos step {k + 1}: operator output norm is {norm_w}")
+        q = basis[: k + 1]
+        alphas.append(float(basis[k] @ w))
+        for _ in range(2):
+            w = w - q.T @ (q @ w)
+        betas.append(float(np.linalg.norm(w)))
+        # eigh reads only the lower triangle, so T's subdiagonal suffices.
+        theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1))
+        j = int(np.argmax(np.abs(theta)))
+        # A zero residual (an invariant subspace, or a zero operator) converges.
+        converged = betas[-1] * abs(s[k, j]) <= tol * abs(theta[j])
+        if converged or k + 1 == len(basis):
+            break
+        basis[k + 1] = w / betas[-1]
+    u = q.T @ s[:, j]
+    return u / np.linalg.norm(u), k + 1, bool(converged)
 
 
 def _mean_scale(y: np.ndarray) -> float:

@@ -10,10 +10,17 @@ The two ``*-replay`` commands run the full 500-iteration budget at n=64,
 where median-RWF and median-TWF end in bitwise cycles, so most of their
 traces are copied by ``run_solver``'s cycle replay rather than computed;
 ``noise-replay`` writes every iteration's kept count and statistic.  Their
-hashes were taken before the replay existed.
+hashes match a run with the replay switched off, which recomputes every
+iteration.
+
+``test_result_rows_are_failed_or_complete`` holds the summary commands to the
+row contract the benchmark checks: a trial either failed (NaN error, no
+iterations, not successful) or ran to a finite error.
 """
 
+import csv
 import hashlib
+import math
 
 import pytest
 
@@ -25,41 +32,41 @@ GOLDEN = {
     "single": (
         ["single", "--n", "16", "--m", "96,128", "--trials", "2", "--algos", ALGOS,
          "--s", "0.1", "--eta-max-rel", "1", "--max-iters", "60"],
-        "ea8f17ff982fb305bb064abfd29aa97de26e2e356022e29d7c6271387dbf7f43",
+        "4f20d9e8a72b8cb975009760fc5c4f0be1319a843b7f9f273497eda83326a5ea",
     ),
     "grid": (
         ["phase-grid", "--n", "16,24", "--m-over-n", "3,6", "--trials", "2",
          "--algos", ALGOS, "--s", "0.05", "--no-fixed-T", "--max-iters", "200"],
-        "071e60a940f347dfc31bc49cde8712a1c82fb5d5d776af0253a8869832b2453c",
+        "767f349673e4de078eeafb6acf48ab776b48e0b9d296d402d6c6fed145754ae8",
     ),
     "sweep": (
         ["outlier-sweep", "--n", "16", "--m-over-n", "8", "--trials", "2",
          "--algos", ALGOS, "--s", "0.05,0.2", "--eta-max-rel", "1,1e200",
          "--max-iters", "80", "--threads", "2"],
-        "0622dddc90e765f1da5db7bc6a9e76e43a1b19ac20ecfadf9c323355943db7e6",
+        "db67e7a820bab4b4266fc79bb8f4024549e058fe47faf2894b685ca0741e9529",
     ),
     "noise": (
         ["noise-curve", "--n", "16", "--m-over-n", "8", "--trials", "2",
          "--algos", ALGOS, "--s", "0.1", "--w-max-rel", "0.01,0.001",
          "--max-iters", "40"],
-        "9e6dcb7c594fb9bf0a40a2726fbf6d56c3c086ae9ea576a6ec246bb1de5055e6",
+        "c9eed1ee3e3200d9716355f2257ac32c4152c522061e20658b8d8e45177700ab",
     ),
     "poisson": (
         ["poisson", "--n", "16", "--m-over-n", "8", "--trials", "2",
          "--algos", ALGOS, "--s", "0.1", "--max-iters", "40"],
-        "764bbddd0e51c703ad3073c289fb3ba2822ef3f3ce027bf9da01486483bdc2f2",
+        "bb297aed534590b5afe55808d2aad88f02190d20f8cb90ebe39f3f1df3cb116b",
     ),
     "sweep-replay": (
         ["outlier-sweep", "--n", "64", "--m-over-n", "8", "--s", "0.1",
          "--eta-max-rel", "1", "--algos", "median-twf,median-rwf", "--trials", "2",
          "--max-iters", "500"],
-        "fdbc3dba744e919eb086dfe003cdd2c249b4ae09a747874b96139fbe5009f81d",
+        "7aeb046032eaad348853aeacd1f1ce27d338c1e424adf33bc0f6038ff92961e2",
     ),
     "noise-replay": (
         ["noise-curve", "--n", "64", "--m-over-n", "8", "--trials", "1",
          "--algos", "median-twf,median-rwf,twf", "--s", "0.1", "--w-max-rel", "0.01,0",
          "--max-iters", "500"],
-        "78a0bdbe0b28220b6dbc4cc645071e6653081ee59bb8f902206bef0d22a63e6f",
+        "67b129c82d8ec97e1b335d204663c3d65231176bd638c4cecf12ba0633556c33",
     ),
 }
 
@@ -70,3 +77,35 @@ def test_csv_bytes_match_golden_hash(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert cli_main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def _flag(argv, flag, default):
+    return type(default)(argv[argv.index(flag) + 1]) if flag in argv else default
+
+
+@pytest.mark.parametrize("name", ["single", "grid", "sweep"])
+def test_result_rows_are_failed_or_complete(name, tmp_path):
+    argv, _ = GOLDEN[name]
+    out = tmp_path / f"{name}.csv"
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    max_iters, tol = _flag(argv, "--max-iters", 500), _flag(argv, "--tol", 1e-8)
+    with out.open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert rows
+    failed = 0
+    for row in rows:
+        err, iters, success = (
+            float(row["final_rel_err"]), int(row["iterations"]), int(row["success"])
+        )
+        if math.isnan(err):
+            assert (iters, success) == (0, 0), row
+            failed += 1
+        else:
+            assert math.isfinite(err) and err >= 0.0, row
+            assert success == int(err <= tol), row
+            if "--no-fixed-T" in argv:
+                assert 0 <= iters <= max_iters, row
+            else:
+                assert iters == max_iters, row
+    # Only the sweep's eta=1e200 cells hold trials that fail by design.
+    assert (failed > 0) == (name == "sweep")

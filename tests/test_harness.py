@@ -164,6 +164,7 @@ def _cfg(**overrides):
         dict(m_values=None, m_over_n=(float("nan"),)),
         dict(m_values=None, m_over_n=(float("inf"),)),
         dict(m_values=()),
+        dict(master_seed=-1),
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -511,8 +512,8 @@ def test_cli_rejects_outlier_fraction_half_or_more(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, value",
     [("--algos", "bogus"), ("--n", "abc"), ("--m-over-n", "x"), ("--s", "0.1,y"),
-     ("--m-over-n", "nan")],
-    ids=["algos", "n", "m-over-n", "s", "m-over-n-nan"],
+     ("--m-over-n", "nan"), ("--seed", "-1")],
+    ids=["algos", "n", "m-over-n", "s", "m-over-n-nan", "seed"],
 )
 def test_cli_rejects_malformed_values(tmp_path, flag, value):
     out = tmp_path / "x.csv"

@@ -165,6 +165,48 @@ def test_power_iteration_rejects_bad_arguments():
         leading_eigenvector(lambda u: u, 3, max_iters=0)
 
 
+# ------------------------------------------------------------ eigensolver
+
+
+def _angle(u, v):
+    """Angle between the lines spanned by u and v, accurate near zero."""
+    u = u / np.linalg.norm(u)
+    v = v / np.linalg.norm(v)
+    return math.atan2(float(np.linalg.norm(u - (u @ v) * v)), abs(float(u @ v)))
+
+
+@pytest.mark.parametrize("init", [median_spectral_init, mean_spectral_init])
+@pytest.mark.parametrize(
+    "spec",
+    [CorruptionSpec(), CorruptionSpec(outlier_fraction=0.1, eta_max_rel=1.0)],
+    ids=["clean", "outliers"],
+)
+def test_init_direction_matches_dense_eigh(init, spec):
+    for seed in range(3):
+        prob = generate_problem(64, 512, spec, master_seed=80 + seed)
+        ens, y = prob.ensemble, prob.measurements.y
+        res = init(ens, y)
+        weights = _surrogate_weights(y, 3.0, res.lambda0)[0]
+        theta, vecs = np.linalg.eigh((ens.rows.T * weights) @ ens.rows / ens.m)
+        top = vecs[:, np.argmax(np.abs(theta))]
+        assert res.converged
+        assert _angle(res.z0, top) <= 1e-5
+
+
+def test_eigensolver_picks_dominant_negative_eigenvalue():
+    mat = np.diag([-3.0, 1.0, 0.5])
+    v, iters, converged = leading_eigenvector(lambda u: mat @ u, 3)
+    assert converged and iters <= 3
+    np.testing.assert_allclose(np.abs(v), [1.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_median_init_cost_at_n512():
+    # About 23 applies here; 30 leaves room for rounding, not for a slower solver.
+    prob = generate_problem(512, 2048, CorruptionSpec(), 11)
+    res = median_spectral_init(prob.ensemble, prob.measurements.y)
+    assert res.converged and res.power_iters <= 30
+
+
 # ------------------------------------------------------------- median init
 
 
