@@ -206,7 +206,7 @@ def run_trial(
         trace = run_solver(problem, cfg)
         final_err = trace.final_error
         iterations = trace.iterations
-        success = int(not trace.degenerate and is_success(final_err, tol))
+        success = int(is_success(final_err, tol))
     except Exception:
         final_err = float("nan")
         iterations = 0
@@ -231,23 +231,12 @@ def run_trial(
 
 
 def _trace_rows(row: ResultRow, trace: IterateTrace) -> list[IterationRow]:
-    out = []
-    for t in range(len(trace.errors)):
-        has_stats = t < len(trace.kept)
-        out.append(
-            IterationRow(
-                experiment=row.experiment,
-                algorithm=row.algorithm,
-                n=row.n,
-                m=row.m,
-                seed=row.seed,
-                t=t,
-                rel_err=float(trace.errors[t]),
-                kept=int(trace.kept[t]) if has_stats else 0,
-                median_stat=float(trace.median_stat[t]) if has_stats else 0.0,
-            )
+    return [
+        IterationRow(row.experiment, row.algorithm, row.n, row.m, row.seed, t, err, kept, stat)
+        for t, (err, kept, stat) in enumerate(
+            zip(trace.errors.tolist(), trace.kept.tolist(), trace.median_stat.tolist())
         )
-    return out
+    ]
 
 
 def _run_task(task: _Task) -> list[ResultRow] | list[IterationRow]:
@@ -301,17 +290,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow] | list[IterationRow
     return [row for rows in _execute(tasks, cfg.threads) for row in rows]
 
 
-def _sweep_cells(cfg: ExperimentConfig, crossed: bool = False) -> _Cells:
-    """Uniform-outlier cells ordered s -> eta -> (n, m), all algorithms each.
-
-    Unless ``crossed``, only the first s and eta values are used.
-    """
-    s_values = cfg.s_values if crossed else cfg.s_values[:1]
-    eta_values = cfg.eta_values if crossed else cfg.eta_values[:1]
+def _sweep_cells(cfg: ExperimentConfig) -> _Cells:
+    """Uniform-outlier cells ordered s -> eta -> (n, m), all algorithms each."""
     specs = [
         CorruptionSpec(outlier_fraction=s, eta_max_rel=eta, w_max_rel=cfg.w_values[0])
-        for s in s_values
-        for eta in eta_values
+        for s in cfg.s_values
+        for eta in cfg.eta_values
     ]
     return [
         (TrialCell(cfg.experiment, n, m, spec), cfg.algorithms)
@@ -391,7 +375,7 @@ EXPERIMENTS = {
     "phase_grid": _Experiment(1, _sweep_cells, False, dict(
         n_values=(64, 128), m_over_n=(2.0, 3.0, 4.0, 5.0, 6.0), trials=20,
         algorithms=("median-twf", "median-rwf", "twf", "rwf"))),
-    "outlier_sweep": _Experiment(2, lambda cfg: _sweep_cells(cfg, crossed=True), False, dict(
+    "outlier_sweep": _Experiment(2, _sweep_cells, False, dict(
         m_over_n=(8.0,), trials=100,
         algorithms=("median-twf", "median-rwf", "twf", "trimean-twf"),
         s_values=(0.05, 0.1, 0.15, 0.2), eta_values=(1.0,))),

@@ -55,6 +55,13 @@ def _validated_sample(values) -> np.ndarray:
     return xs
 
 
+def _rank(p: float, m: int) -> int:
+    # ceil(p * m), treating p*m within one part in 1e12 of an integer as that
+    # integer, so float noise cannot bump the rank (p = 0.51, m = 100 -> 51).
+    pm = p * m
+    return math.ceil(pm - 1e-12 * max(1.0, pm))
+
+
 def sample_quantile(values, p: float) -> float:
     """Generalized quantile: the ``ceil(p * m)``-th order statistic.
 
@@ -74,11 +81,7 @@ def sample_quantile(values, p: float) -> float:
     if not 0.0 < p < 1.0:
         raise InvalidInputError(f"quantile level must lie in (0, 1), got {p}")
     m = xs.size
-    pm = p * m
-    # Treat p*m within one part in 1e12 of an integer as that integer, so
-    # float noise in p*m cannot bump the rank (e.g. p = 0.51, m = 100 -> 51).
-    k = math.ceil(pm - 1e-12 * max(1.0, pm))
-    k = min(max(k, 1), m)
+    k = min(max(_rank(p, m), 1), m)
     return float(np.partition(xs, k - 1)[k - 1])
 
 

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import InvalidInputError, _parse_choice
 from .metrics import dist, relative_error
 from .model import TAG_INIT, ProblemInstance, SensingEnsemble, derive_seed
-from .quantile import sample_median
+from .quantile import _rank, sample_median
 from .spectral import InitResult, mean_spectral_init, median_spectral_init
 
 __all__ = [
@@ -147,7 +147,6 @@ class IterateTrace:
     gradient_norms: np.ndarray
     final_z: np.ndarray
     converged_at: int | None
-    degenerate: bool = False
 
     @property
     def iterations(self) -> int:
@@ -245,7 +244,7 @@ def _screened_gradient(
     elif statistic == "trimmed":  # discard the ceil(s*m) largest residuals first
         if cfg.known_s is None:
             raise InvalidInputError("trimean-twf requires known_s")
-        n_untrimmed = m - math.ceil(cfg.known_s * m)
+        n_untrimmed = m - _rank(cfg.known_s, m)
         if n_untrimmed <= 0:
             return np.zeros(ensemble.n), 0, 0.0
         keep = np.ones(m, dtype=bool)
@@ -288,8 +287,10 @@ def trimean_twf_gradient(
 ) -> tuple[np.ndarray, int, float]:
     """Trimmed-mean gradient for a known outlier fraction.
 
-    Discards the ceil(known_s * m) largest residuals outright, screens the
-    remainder with the usual two events around the trimmed-mean statistic.
+    Discards the ceil(known_s * m) largest residuals outright, ranked by the
+    rule ``sample_quantile`` uses, so float noise in known_s * m cannot drop
+    one more; screens the remainder with the usual two events around the
+    trimmed-mean statistic.
     """
     return _screened_gradient(ensemble, y, z, cfg, "intensity", "trimmed")
 
@@ -337,8 +338,8 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
     Early stopping (on reaching ``success_tol`` or a vanishing gradient) is
     on by default and can be disabled via ``cfg.fixed_iterations``; either
     way the trace records every visited iterate, so its length is at most
-    ``max_iters`` + 1.  A degenerate initialization (all-zero measurements)
-    yields a one-row trace flagged degenerate instead of an exception.
+    ``max_iters`` + 1.  Measurements too degenerate to initialize from
+    (all-zero y, say) raise ``DegenerateMeasurements`` from the init.
 
     On fixed data one step is a deterministic function of the iterate, so
     once z_t equals an earlier z_s bit for bit, iterates s..t-1 repeat with
@@ -346,22 +347,9 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
     early, so no later copy can).  The rest of the trace is then copied
     from that cycle instead of recomputed; the result is the same bytes.
     """
-    init = _initialize(problem, cfg)
-    x = problem.signal
-    if init.degenerate:
-        return IterateTrace(
-            algorithm=cfg.algorithm,
-            errors=np.array([relative_error(init.z0, x)]),
-            kept=np.empty(0, dtype=np.int64),
-            median_stat=np.empty(0),
-            gradient_norms=np.empty(0),
-            final_z=init.z0,
-            converged_at=None,
-            degenerate=True,
-        )
-    ensemble, y = problem.ensemble, problem.measurements.y
+    x, ensemble, y = problem.signal, problem.ensemble, problem.measurements.y
     mu = cfg.step_size
-    z = init.z0
+    z = _initialize(problem, cfg).z0
     errors: list[float] = []
     kept: list[int] = []
     stats: list[float] = []

@@ -9,7 +9,10 @@ the truncated weighted covariance
 The robust scale estimate divides the median of y by 0.455, the median of
 the squared-Gaussian intensity distribution to three decimals; the mean
 variant used by the baselines divides by its mean (which is 1) and is
-fragile under outliers by design.
+fragile under outliers by design.  An estimate that is negative or zero
+(all-zero y, say) leaves nothing to screen against, so both raise
+``DegenerateMeasurements`` before any eigenvector work.  The eigensolver
+runs with ``leading_eigenvector``'s default tolerance and budget.
 
 Arbitrary outliers can push some y_i negative, making Y indefinite; the
 mask deliberately thresholds |y_i|, and the eigensolver tracks the
@@ -52,7 +55,6 @@ class InitResult:
     truncated_count: int  # samples kept by the mask
     power_iters: int  # operator applies made by the Lanczos eigensolver
     converged: bool
-    degenerate: bool = False
 
 
 def scale_estimate(y) -> float:
@@ -148,8 +150,6 @@ def _spectral_init(
     y,
     estimate_lambda0: Callable[[np.ndarray], float],
     alpha_y: float,
-    tol: float,
-    max_iters: int,
     seed: int | None,
 ) -> InitResult:
     if alpha_y <= 0.0:
@@ -161,26 +161,14 @@ def _spectral_init(
             f"got shape {y.shape}"
         )
     lambda0 = estimate_lambda0(y)
-    weights, kept = _surrogate_weights(y, alpha_y, lambda0)
     if lambda0 == 0.0:
-        # No scale information at all (e.g. all-zero y): flag rather than
-        # fail so sweeps keep going.
-        return InitResult(
-            z0=np.zeros(ensemble.n),
-            lambda0=0.0,
-            truncated_count=kept,
-            power_iters=0,
-            converged=False,
-            degenerate=True,
-        )
+        raise DegenerateMeasurements("scale estimate is zero; the measurements carry no norm")
+    weights, kept = _surrogate_weights(y, alpha_y, lambda0)
     if seed is None:
         seed = derive_seed(ensemble.seed, TAG_INIT)
-
     direction, iters, converged = leading_eigenvector(
         lambda v: _weighted_apply(ensemble, weights, v),
         ensemble.n,
-        tol=tol,
-        max_iters=max_iters,
         seed=seed,
     )
     return InitResult(
@@ -196,24 +184,23 @@ def median_spectral_init(
     ensemble: SensingEnsemble,
     y,
     alpha_y: float = 3.0,
-    tol: float = 1e-6,
-    max_iters: int = 200,
     seed: int | None = None,
 ) -> InitResult:
     """Median-truncated spectral initialization.
 
     The returned iterate satisfies ||z0|| = lambda0; its direction carries
     an arbitrary sign, which downstream distance computations absorb.
+
+    Raises:
+        DegenerateMeasurements: the median of y is negative or zero.
     """
-    return _spectral_init(ensemble, y, scale_estimate, alpha_y, tol, max_iters, seed)
+    return _spectral_init(ensemble, y, scale_estimate, alpha_y, seed)
 
 
 def mean_spectral_init(
     ensemble: SensingEnsemble,
     y,
     alpha_y: float = 3.0,
-    tol: float = 1e-6,
-    max_iters: int = 200,
     seed: int | None = None,
 ) -> InitResult:
     """Mean-based initialization used by the non-robust baselines.
@@ -221,4 +208,4 @@ def mean_spectral_init(
     lambda0 = sqrt(mean(y)); a single enormous outlier inflates it without
     bound, which is exactly the fragility the robust variant avoids.
     """
-    return _spectral_init(ensemble, y, _mean_scale, alpha_y, tol, max_iters, seed)
+    return _spectral_init(ensemble, y, _mean_scale, alpha_y, seed)

@@ -16,11 +16,15 @@ iteration.
 ``test_result_rows_are_failed_or_complete`` holds the summary commands to the
 row contract the benchmark checks: a trial either failed (NaN error, no
 iterations, not successful) or ran to a finite error.
+``test_iteration_traces_are_complete`` is its per-iteration counterpart: a
+failed trial writes no rows, and every other trial writes t = 0..max_iters
+with finite errors and kept counts in [0, m].
 """
 
 import csv
 import hashlib
 import math
+from collections import defaultdict
 
 import pytest
 
@@ -109,3 +113,36 @@ def test_result_rows_are_failed_or_complete(name, tmp_path):
                 assert iters == max_iters, row
     # Only the sweep's eta=1e200 cells hold trials that fail by design.
     assert (failed > 0) == (name == "sweep")
+
+
+# (argv, traces written): every trial of the golden commands completes; at
+# n=1, m=3 the Poisson counts of 23 of the 40 trials are all zero, so their
+# init has no scale estimate and the trial fails.
+PER_ITERATION = {
+    "noise": (GOLDEN["noise"][0], 24),
+    "poisson": (GOLDEN["poisson"][0], 12),
+    "noise-replay": (GOLDEN["noise-replay"][0], 8),
+    "poisson-tiny": (
+        ["poisson", "--n", "1", "--m", "3", "--trials", "20", "--algos", "median-twf",
+         "--max-iters", "5"],
+        17,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_ITERATION))
+def test_iteration_traces_are_complete(name, tmp_path):
+    argv, expected_traces = PER_ITERATION[name]
+    out = tmp_path / f"{name}.csv"
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    traces = defaultdict(list)
+    with out.open(newline="") as f:
+        for row in csv.DictReader(f):
+            traces[int(row["seed"])].append(row)
+    assert len(traces) == expected_traces
+    max_iters = _flag(argv, "--max-iters", 500)
+    for seed, trace in traces.items():
+        m = int(trace[0]["m"])
+        assert [int(r["t"]) for r in trace] == list(range(max_iters + 1)), seed
+        assert all(math.isfinite(float(r["rel_err"])) for r in trace), seed
+        assert all(0 <= int(r["kept"]) <= m for r in trace), seed

@@ -111,6 +111,17 @@ def test_run_trial_records_failures_as_rows():
     assert trace is None
 
 
+def test_run_trial_zero_scale_estimate_is_a_failed_row():
+    # At m=3 the Poisson counts are often all zero: the init has no scale
+    # to screen with, which fails the trial like any other degenerate input
+    row, trace = run_trial(
+        TrialCell("single", 1, 3, CorruptionSpec(poisson=True)), Algorithm.MEDIAN_TWF, 0
+    )
+    assert math.isnan(row.final_rel_err)
+    assert (row.iterations, row.success) == (0, 0)
+    assert trace is None
+
+
 def test_run_trial_wall_time_opt_in():
     cell = TrialCell("single", 16, 48, CLEAN)
     row, _ = run_trial(cell, Algorithm.MEDIAN_TWF, 5, max_iters=5)
@@ -493,6 +504,17 @@ def test_cli_single_writes_csv(tmp_path):
     assert record["algorithm"] == "median-rwf"
     assert record["success"] == "1"
     assert record["wall_time_ms"] == "0"
+
+
+def test_cli_single_crosses_s_and_eta_grids(tmp_path):
+    out = tmp_path / "run.csv"
+    assert cli_main(
+        ["single", "--n", "8", "--m", "48", "--s", "0,0.1", "--eta-max-rel", "0,1",
+         "--max-iters", "2", "--out", str(out)]
+    ) == 0
+    with out.open(newline="") as f:
+        pairs = [(float(r["s"]), float(r["eta_max_rel"])) for r in csv.DictReader(f)]
+    assert pairs == [(0.0, 0.0), (0.0, 1.0), (0.1, 0.0), (0.1, 1.0)]
 
 
 def test_cli_help_exits_zero(capsys):

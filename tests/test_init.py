@@ -252,10 +252,9 @@ def test_median_init_error_shrinks_with_oversampling():
 
 def test_median_init_all_zero_measurements_degenerate():
     ens = sample_ensemble(6, 40, seed=50)
-    res = median_spectral_init(ens, np.zeros(40))
-    assert res.degenerate
-    assert res.lambda0 == 0.0
-    np.testing.assert_array_equal(res.z0, np.zeros(6))
+    for init in (median_spectral_init, mean_spectral_init):
+        with pytest.raises(DegenerateMeasurements):
+            init(ens, np.zeros(40))
 
 
 def test_median_init_deterministic_and_mask_monotone_in_alpha_y():

@@ -18,6 +18,7 @@ from robustphase import (
     TAG_INIT,
     Algorithm,
     CorruptionSpec,
+    DegenerateMeasurements,
     InvalidInputError,
     MeasurementSet,
     ProblemInstance,
@@ -232,6 +233,17 @@ def test_trimean_removes_the_single_outlier():
     assert stat == float(np.delete(resid, 13).mean())
 
 
+def test_trimean_cut_uses_the_guarded_rank():
+    # 0.07 * 100 is 7.000000000000001 in binary; exactly 7 residuals go
+    ens, x, y = _perfect_instance(n=6, m=100, seed=70)
+    z = sample_signal(6, seed=72)
+    cfg = SolverConfig(algorithm=Algorithm.TRIMEAN_TWF, known_s=0.07)
+    _, _, stat = trimean_twf_gradient(ens, y, z, cfg)
+    smallest = np.sort(np.abs(y - (ens.rows @ z) ** 2))
+    assert stat == pytest.approx(smallest[:93].mean(), rel=1e-12)
+    assert stat != pytest.approx(smallest[:92].mean(), rel=1e-6)
+
+
 def test_median_statistic_is_outlier_insensitive():
     """Corrupting 40% of residuals moves K_t at most between the clean
     0.1 and 0.9 quantiles."""
@@ -395,7 +407,6 @@ def test_trace_alignment_and_early_stop():
     for arr in (trace.kept, trace.median_stat, trace.gradient_norms):
         assert len(arr) == len(trace.errors)
     assert trace.iterations <= MTWF.max_iters
-    assert not trace.degenerate
 
 
 def test_fixed_iteration_mode_runs_to_budget():
@@ -503,7 +514,7 @@ def test_cycle_replay_matches_full_recomputation(
     assert trace.converged_at == converged_at
 
 
-def test_degenerate_measurements_flagged_not_raised():
+def test_degenerate_measurements_raise():
     ens = sample_ensemble(4, 12, seed=80)
     x = sample_signal(4, seed=81)
     prob = ProblemInstance(
@@ -516,10 +527,8 @@ def test_degenerate_measurements_flagged_not_raised():
         corruption=CorruptionSpec(),
         master_seed=0,
     )
-    trace = run_solver(prob, MTWF)
-    assert trace.degenerate
-    assert len(trace.errors) == 1
-    assert trace.errors[0] == 1.0  # z0 = 0 sits at unit relative error
+    with pytest.raises(DegenerateMeasurements):
+        run_solver(prob, MTWF)
 
 
 # ---------------------------------------------------------- empirical bands
