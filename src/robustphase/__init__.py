@@ -14,13 +14,7 @@ from .errors import (
     NumericalFailure,
     RobustPhaseError,
 )
-from .metrics import (
-    dist,
-    is_success,
-    relative_error,
-    residual_median_stats,
-    sign_flip_fraction,
-)
+from .metrics import is_success, relative_error, sign_flip_fraction
 from .model import (
     TAG_CORRUPTION,
     TAG_ENSEMBLE,
@@ -52,7 +46,6 @@ from .solvers import (
     SolverConfig,
     mrwf_gradient,
     mtwf_gradient,
-    rc_probe,
     run_solver,
     rwf_gradient,
     trimean_twf_gradient,

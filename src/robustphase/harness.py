@@ -69,7 +69,10 @@ class TrialCell:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated description of a sweep; grids are tuples, never scalars."""
+    """Validated description of a sweep; grids are tuples, never scalars.
+
+    A value the experiment's cells would never read is rejected, not dropped.
+    """
 
     experiment: str
     n_values: tuple[int, ...] = (64,)
@@ -115,6 +118,16 @@ class ExperimentConfig:
             raise InvalidInputError(f"outlier fractions must lie in [0, 0.5): {self.s_values}")
         if not all(0.0 <= v < math.inf for v in (*self.eta_values, *self.w_values)):
             raise InvalidInputError("eta and w magnitudes must be finite and nonnegative")
+        per_iteration = EXPERIMENTS[self.experiment].per_iteration
+        for dropped, what in (  # values the experiment's cells would never read
+            (not per_iteration and len(self.w_values) > 1, "more than one w_max_rel value"),
+            (per_iteration and len(self.s_values) > 1, "more than one s value"),
+            (per_iteration and any(self.eta_values), "a nonzero eta_max_rel"),
+            (per_iteration and self.timing, "timing: its CSV has no wall_time_ms"),
+            (self.experiment == "poisson" and any(self.w_values), "a nonzero w_max_rel"),
+        ):
+            if dropped:
+                raise InvalidInputError(f"{self.experiment} does not take {what}")
         algorithms = tuple(_parse_choice(Algorithm, a) for a in self.algorithms)
         object.__setattr__(self, "algorithms", algorithms)
 
@@ -413,9 +426,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(experiment=exp_id, out=f"{name}.csv", **exp.grid)
         sp.add_argument("--n", dest="n_values", type=ints,
                         help="comma list of signal dimensions")
-        sp.add_argument("--m", dest="m_values", type=ints,
-                        help="comma list of measurement counts")
-        sp.add_argument("--m-over-n", type=floats, help="comma list of m/n ratios")
+        m_grid = sp.add_mutually_exclusive_group()
+        m_grid.add_argument("--m", dest="m_values", type=ints,
+                            help="comma list of measurement counts")
+        m_grid.add_argument("--m-over-n", type=floats, help="comma list of m/n ratios")
         sp.add_argument("--trials", type=int)
         sp.add_argument(
             "--algos", "--algo", dest="algorithms", type=_comma_list(str),

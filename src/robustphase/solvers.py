@@ -23,6 +23,10 @@ the published non-robust algorithms: close enough to reproduce their
 qualitative behavior (success without corruption, collapse under it), not
 faithful reimplementations.
 
+The paper's local claim, that near x the median-screened step contracts
+towards x even under adversarial outliers, is tested by stepping these
+kernels from a start near x (``tests/test_adversarial.py``).
+
 All threshold comparisons are inclusive, so ties keep the sample; with a
 perfect iterate every residual ties the zero median and the gradient
 vanishes identically.  Division by a_i.z never needs an epsilon: the E1
@@ -41,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError, _parse_choice
-from .metrics import dist, relative_error
+from .metrics import relative_error
 from .model import TAG_INIT, ProblemInstance, SensingEnsemble, derive_seed
 from .quantile import _rank, sample_median
 from .spectral import InitResult, mean_spectral_init, median_spectral_init
@@ -57,7 +61,6 @@ __all__ = [
     "rwf_gradient",
     "trimean_twf_gradient",
     "run_solver",
-    "rc_probe",
 ]
 
 _GRADIENT_FLOOR = 1e-14
@@ -394,20 +397,3 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
         converged_at=converged_at,
     )
 
-
-def rc_probe(
-    ensemble: SensingEnsemble, y, z, x, cfg: SolverConfig
-) -> tuple[float, float, float]:
-    """Curvature probe at z against the planted signal x.
-
-    Returns (<g, z - x*>, ||g||, dist(z, x)) where x* is the global-sign
-    alignment of x closest to z.  The caller plugs these into the
-    regularity inequality <g, z - x*> >= (mu/2)||g||^2 + (lam/2) dist^2 for
-    candidate constants.
-    """
-    gradient, _, _ = _gradient_fn(cfg.algorithm)(ensemble, y, z, cfg)
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    aligned = x if np.linalg.norm(z - x) <= np.linalg.norm(z + x) else -x
-    inner = float(gradient @ (z - aligned))
-    return inner, float(np.linalg.norm(gradient)), dist(z, x)

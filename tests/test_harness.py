@@ -36,6 +36,7 @@ from robustphase.harness import (
     IterationRow,
     ResultRow,
     TrialCell,
+    _build_parser,
     cli_main,
     main,
     run_experiment,
@@ -394,10 +395,12 @@ EXPERIMENT_LAYOUT = {
 
 @pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
 def test_run_experiment_tags_and_seeds_come_from_cfg_experiment(exp_id):
+    # only noise_curve reads w per cell; poisson rejects a nonzero w
+    w_grid = dict(w_values=(0.01,)) if exp_id == "noise_curve" else {}
     cfg = ExperimentConfig(
         experiment=exp_id, n_values=(8,), m_values=(48,), m_over_n=None,
-        algorithms=(Algorithm.MEDIAN_TWF,), s_values=(0.1,), w_values=(0.01,),
-        master_seed=3, max_iters=2,
+        algorithms=(Algorithm.MEDIAN_TWF,), s_values=(0.1,), master_seed=3, max_iters=2,
+        **w_grid,
     )
     rows = run_experiment(cfg)
     row_type, seeded = EXPERIMENT_LAYOUT[exp_id]
@@ -541,6 +544,50 @@ def test_cli_rejects_malformed_values(tmp_path, flag, value):
     out = tmp_path / "x.csv"
     assert cli_main(["single", flag, value, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+TINY = ["--n", "4", "--m", "16", "--algos", "median-twf", "--max-iters", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["single", "--w-max-rel", "0,0.01"],
+        ["phase-grid", "--w-max-rel", "0,0.01", "--trials", "1"],
+        ["outlier-sweep", "--w-max-rel", "0,0.01", "--trials", "1"],
+        ["noise-curve", "--s", "0.1,0.2"],
+        ["poisson", "--s", "0.1,0.2"],
+        ["noise-curve", "--eta-max-rel", "5"],
+        ["poisson", "--eta-max-rel", "5,7"],
+        ["poisson", "--w-max-rel", "0.01"],
+        ["noise-curve", "--timing"],
+        ["poisson", "--timing"],
+        ["single", "--m-over-n", "3"],  # with TINY's --m
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]),
+)
+def test_cli_rejects_values_the_experiment_would_drop(tmp_path, argv):
+    out = tmp_path / "x.csv"
+    assert cli_main(argv + TINY + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_readme_cli_examples_parse_into_accepted_configs():
+    """Every ``robust-phase`` line of the README's usage block is accepted."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = [
+        line.split()[1:]
+        for line in readme.read_text(encoding="utf-8").splitlines()
+        if line.startswith("robust-phase ")
+    ]
+    assert sorted(argv[0] for argv in examples) == sorted(
+        exp_id.replace("_", "-") for exp_id in EXPERIMENTS
+    )
+    parser = _build_parser()
+    for argv in examples:
+        ns = parser.parse_args(argv)
+        del ns.command
+        ExperimentConfig(**vars(ns))
 
 
 def _cells(tag, ns, ratios, s=0.0, eta=0.0, w=0.0):
@@ -722,5 +769,6 @@ def test_package_reexports_every_public_name():
         missing = [n for n in module.__all__ if not hasattr(robustphase, n)]
         assert not missing, f"robustphase does not re-export {name}: {missing}"
     for gone in ("Placement", "problem_to_json", "problem_from_json", "TrialOutcome",
-                 "outcome_from_errors", "surrogate_apply"):
+                 "outcome_from_errors", "surrogate_apply", "rc_probe",
+                 "residual_median_stats", "dist"):
         assert not hasattr(robustphase, gone), gone

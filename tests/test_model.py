@@ -26,6 +26,7 @@ from robustphase import (
     sample_ensemble,
     sample_signal,
 )
+from robustphase.model import _poisson_draws
 
 
 def test_derive_seed_is_stable_and_tag_sensitive():
@@ -233,6 +234,20 @@ def test_poisson_draws_match_reference_pmf(lam):
     tv = 0.5 * float(np.sum(np.abs(empirical - reference)))
     assert tv < 0.02
     assert abs(float(draws.mean()) - lam) < 4.0 * math.sqrt(lam / m)
+
+
+def test_poisson_draw_stream_is_pinned():
+    """The draws, and where they leave the stream, on both sampler branches.
+
+    Any other sampler (a vectorised one, say) must consume the same uniforms
+    in the same order: the same draws and the same next ``rng.random()``.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(15)))
+    means = np.array([0.0, 0.5, 7.0, 29.999, 30.0, 120.0, 1e4])
+    draws = _poisson_draws(rng, means)
+    assert draws.dtype == float
+    assert draws.tolist() == [0.0, 0.0, 7.0, 31.0, 24.0, 147.0, 9816.0]
+    assert rng.random() == 0.5117894287194436
 
 
 # ------------------------------------------------------------------ problems
