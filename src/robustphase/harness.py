@@ -14,7 +14,8 @@ so a row's content depends only on the configuration, never on thread
 scheduling.  Wall-clock timing is therefore opt-in (``--timing``); without
 it the wall_time_ms column is 0 and output files are byte-identical across
 repeated and multi-threaded runs.  Floats are written with 17 significant
-digits so parsing a file recovers every value exactly.
+digits so parsing a file recovers every value exactly.  A per-iteration trial
+leaves its worker as one trace of arrays; the parent formats its rows.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "ExperimentConfig",
     "TrialCell",
     "ResultRow",
-    "IterationRow",
     "RESULT_HEADER",
     "ITERATION_HEADER",
     "run_trial",
@@ -77,7 +77,7 @@ class ExperimentConfig:
     experiment: str
     n_values: tuple[int, ...] = (64,)
     m_values: tuple[int, ...] | None = None
-    m_over_n: tuple[float, ...] | None = (6.0,)
+    m_over_n: tuple[float, ...] | None = None
     trials: int = 1
     algorithms: tuple[Algorithm, ...] = (Algorithm.MEDIAN_TWF,)
     s_values: tuple[float, ...] = (0.0,)
@@ -106,12 +106,13 @@ class ExperimentConfig:
             raise InvalidInputError(f"tol must be finite and positive, got {self.tol}")
         if min(self.n_values, default=0) < 1:
             raise InvalidInputError("n grid must be nonempty with n >= 1")
-        if self.m_values is None and not self.m_over_n:
-            raise InvalidInputError("either an m grid or an m/n grid is required")
+        if (self.m_values is None) == (self.m_over_n is None):
+            raise InvalidInputError("exactly one of an m grid and an m/n grid is required")
         if self.m_values is not None and min(self.m_values, default=0) < 1:
             raise InvalidInputError("m grid must be nonempty with m >= 1")
-        if any(not 0.0 < r < math.inf for r in self.m_over_n or ()):
-            raise InvalidInputError("m/n ratios must be finite and positive")
+        ratios = self.m_over_n
+        if ratios is not None and not (ratios and all(0.0 < r < math.inf for r in ratios)):
+            raise InvalidInputError("m/n grid must be nonempty with finite, positive ratios")
         if not self.s_values or not self.eta_values or not self.w_values:
             raise InvalidInputError("s, eta, and w grids must be nonempty")
         if not all(0.0 <= s < 0.5 for s in self.s_values):
@@ -150,23 +151,8 @@ class ResultRow:
     wall_time_ms: float
 
 
-@dataclass(frozen=True)
-class IterationRow:
-    """One per-iteration CSV row; its fields, in order, are the CSV columns."""
-
-    experiment: str
-    algorithm: str
-    n: int
-    m: int
-    seed: int
-    t: int
-    rel_err: float
-    kept: int
-    median_stat: float
-
-
 RESULT_HEADER = ",".join(f.name for f in fields(ResultRow))
-ITERATION_HEADER = ",".join(f.name for f in fields(IterationRow))
+ITERATION_HEADER = "experiment,algorithm,n,m,seed,t,rel_err,kept,median_stat"
 
 
 @dataclass(frozen=True)
@@ -243,16 +229,10 @@ def run_trial(
     return row, trace
 
 
-def _trace_rows(row: ResultRow, trace: IterateTrace) -> list[IterationRow]:
-    return [
-        IterationRow(row.experiment, row.algorithm, row.n, row.m, row.seed, t, err, kept, stat)
-        for t, (err, kept, stat) in enumerate(
-            zip(trace.errors.tolist(), trace.kept.tolist(), trace.median_stat.tolist())
-        )
-    ]
+_Trial = tuple[ResultRow, IterateTrace | None]  # a per-iteration experiment's result
 
 
-def _run_task(task: _Task) -> list[ResultRow] | list[IterationRow]:
+def _run_task(task: _Task) -> ResultRow | _Trial:
     cfg = task.cfg
     row, trace = run_trial(
         task.cell,
@@ -263,13 +243,12 @@ def _run_task(task: _Task) -> list[ResultRow] | list[IterationRow]:
         tol=cfg.tol,
         timing=cfg.timing,
     )
-    if not EXPERIMENTS[cfg.experiment].per_iteration:
-        return [row]
-    return _trace_rows(row, trace) if trace else []
+    # A per-iteration trial ships its trace's arrays, not one object per row.
+    return (row, trace) if EXPERIMENTS[cfg.experiment].per_iteration else row
 
 
-def _execute(tasks: list[_Task], threads: int) -> list[list]:
-    # executor.map preserves input order, so output rows are already in the
+def _execute(tasks: list[_Task], threads: int) -> list:
+    # executor.map preserves input order, so results are already in the
     # canonical (cell, algorithm, trial) order regardless of scheduling.
     if threads <= 1 or len(tasks) <= 1:
         return [_run_task(t) for t in tasks]
@@ -281,12 +260,13 @@ def _execute(tasks: list[_Task], threads: int) -> list[list]:
         return list(pool.map(_run_task, tasks, chunksize=chunk))
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[ResultRow] | list[IterationRow]:
-    """The rows ``cfg.experiment`` writes, for every (cell, algorithm, trial).
+def run_experiment(cfg: ExperimentConfig) -> list[ResultRow] | list[_Trial]:
+    """One result per (cell, algorithm, trial), in that order.
 
-    ``cfg.experiment`` alone picks the cells, the seed code and whether the
-    rows are one per trial (``ResultRow``) or one per iteration
-    (``IterationRow``); rows come in (cell, algorithm, trial) order.
+    ``cfg.experiment`` alone picks the cells and the seed code.  A summary
+    experiment returns its ``ResultRow``s; a per-iteration one returns
+    ``(ResultRow, IterateTrace)`` pairs, whose trace is None for a failed
+    trial.  ``write_result_csv`` and ``write_iteration_csv`` write them.
     """
     exp = EXPERIMENTS[cfg.experiment]
     tasks = [
@@ -300,7 +280,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow] | list[IterationRow
         for algorithm in algorithms
         for trial in range(cfg.trials)
     ]
-    return [row for rows in _execute(tasks, cfg.threads) for row in rows]
+    return _execute(tasks, cfg.threads)
 
 
 def _sweep_cells(cfg: ExperimentConfig) -> _Cells:
@@ -360,31 +340,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def write_result_csv(rows: list[ResultRow], path: str) -> int:
+    """Write one line per row; returns the number of data rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header.split(","))
+        writer.writerow(RESULT_HEADER.split(","))
         for row in rows:
             writer.writerow([_fmt(v) for v in vars(row).values()])
+    return len(rows)
 
 
-def write_result_csv(rows: list[ResultRow], path: str) -> None:
-    _write_csv(path, RESULT_HEADER, rows)
-
-
-def write_iteration_csv(rows: list[IterationRow], path: str) -> None:
-    _write_csv(path, ITERATION_HEADER, rows)
+def write_iteration_csv(trials: list[_Trial], path: str) -> int:
+    """One line per iterate of each trace (none for a failed trial); returns the
+    row count.  The bytes of ``csv.writer`` over ``_fmt``: no field needs quoting."""
+    count = 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(ITERATION_HEADER + "\n")
+        for row, trace in trials:
+            if trace is None:
+                continue
+            head = f"{row.experiment},{row.algorithm},{row.n},{row.m},{row.seed}"
+            columns = zip(trace.errors.tolist(), trace.kept.tolist(), trace.median_stat.tolist())
+            fh.writelines(
+                f"{head},{t},{err:.17g},{kept},{stat:.17g}\n"
+                for t, (err, kept, stat) in enumerate(columns)
+            )
+            count += len(trace.errors)
+    return count
 
 
 class _Experiment(NamedTuple):
     code: int  # seed-derivation code; never renumber
     cells: Callable[[ExperimentConfig], _Cells]  # (cell, algorithms) in seed order
-    per_iteration: bool  # writes IterationRow, not ResultRow, rows
+    per_iteration: bool  # writes one row per iterate of each trace, not per trial
     grid: dict  # CLI defaults where they differ from ExperimentConfig's
 
 
 EXPERIMENTS = {
-    "single": _Experiment(0, _sweep_cells, False, {}),
+    "single": _Experiment(0, _sweep_cells, False, dict(m_over_n=(6.0,))),
     "phase_grid": _Experiment(1, _sweep_cells, False, dict(
         n_values=(64, 128), m_over_n=(2.0, 3.0, 4.0, 5.0, 6.0), trials=20,
         algorithms=("median-twf", "median-rwf", "twf", "rwf"))),
@@ -409,6 +402,11 @@ def _comma_list(item: type) -> Callable[[str], tuple]:
     return parse
 
 
+class _MGrid(argparse.Action):  # --m replaces the experiment's default m/n grid
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.m_values, namespace.m_over_n = values, None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robust-phase",
@@ -427,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", dest="n_values", type=ints,
                         help="comma list of signal dimensions")
         m_grid = sp.add_mutually_exclusive_group()
-        m_grid.add_argument("--m", dest="m_values", type=ints,
+        m_grid.add_argument("--m", dest="m_values", type=ints, action=_MGrid,
                             help="comma list of measurement counts")
         m_grid.add_argument("--m-over-n", type=floats, help="comma list of m/n ratios")
         sp.add_argument("--trials", type=int)
@@ -477,12 +475,11 @@ def cli_main(argv: list[str] | None = None) -> int:
     # wraps the writers) are the ones that run.
     write = write_iteration_csv if EXPERIMENTS[cfg.experiment].per_iteration else write_result_csv
     try:
-        rows = run_experiment(cfg)
-        write(rows, cfg.out)
+        written = write(run_experiment(cfg), cfg.out)
     except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(rows)} rows to {cfg.out}")
+    print(f"wrote {written} rows to {cfg.out}")
     return 0
 
 

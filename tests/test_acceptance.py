@@ -142,13 +142,13 @@ def test_criterion_5_error_scales_with_dense_noise_level():
             m_over_n=None, trials=20, algorithms=(Algorithm.MEDIAN_TWF,),
             s_values=(0.1,), w_values=(0.01, 0.001), master_seed=MASTER,
         )
-        finals = {}
-        for r in run_experiment(cfg):
-            key = (r.experiment, r.algorithm, r.seed)
-            if key not in finals or r.t > finals[key][0]:
-                finals[key] = (r.t, r.rel_err)
+        finals = {
+            (r.experiment, r.algorithm, r.seed): float(trace.errors[-1])
+            for r, trace in run_experiment(cfg)
+            if trace is not None
+        }
         level = lambda w: [
-            v for (e, a, _), (_, v) in finals.items()
+            v for (e, a, _), v in finals.items()
             if e == f"noise_curve:w={w}:corrupted" and a == "median-twf"
         ]
         hi, lo = level("0.01"), level("0.001")

@@ -8,6 +8,7 @@ borderline trial.
 
 import csv
 import importlib
+import io
 import math
 import os
 import subprocess
@@ -24,6 +25,7 @@ from robustphase import (
     Algorithm,
     CorruptionSpec,
     InvalidInputError,
+    IterateTrace,
     OutlierModel,
     derive_seed,
 )
@@ -33,10 +35,10 @@ from robustphase.harness import (
     ITERATION_HEADER,
     RESULT_HEADER,
     ExperimentConfig,
-    IterationRow,
     ResultRow,
     TrialCell,
     _build_parser,
+    _fmt,
     cli_main,
     main,
     run_experiment,
@@ -55,14 +57,13 @@ def success_counts(rows, key=lambda r: r.algorithm):
     return counts
 
 
-def final_errors(iter_rows):
+def final_errors(trials):
     """Last-iterate rel_err per (experiment, algorithm, seed) curve."""
-    last = {}
-    for r in iter_rows:
-        key = (r.experiment, r.algorithm, r.seed)
-        if key not in last or r.t > last[key][0]:
-            last[key] = (r.t, r.rel_err)
-    return {k: v[1] for k, v in last.items()}
+    return {
+        (r.experiment, r.algorithm, r.seed): float(trace.errors[-1])
+        for r, trace in trials
+        if trace is not None
+    }
 
 
 # ---------------------------------------------------------------- run_trial
@@ -159,6 +160,7 @@ def _cfg(**overrides):
         dict(n_values=(0,)),
         dict(m_values=(0,)),
         dict(m_values=None, m_over_n=None),
+        dict(m_over_n=(3.0,)),
         dict(s_values=()),
         dict(s_values=(0.7,)),
         dict(s_values=(-0.1,)),
@@ -312,18 +314,14 @@ def test_noise_curve_clean_regime_reaches_tolerance():
         trials=1, algorithms=(Algorithm.MEDIAN_TWF,), s_values=(0.0,),
         w_values=(0.0,), master_seed=0,
     )
-    rows = run_experiment(cfg)
-    curves = defaultdict(list)
-    for r in rows:
-        curves[(r.experiment, r.algorithm)].append((r.t, r.rel_err))
-    assert set(curves) == {
+    trials = run_experiment(cfg)
+    assert [(r.experiment, r.algorithm) for r, _ in trials] == [
         ("noise_curve:w=0:corrupted", "median-twf"),
         ("noise_curve:w=0:clean", "twf"),
-    }
-    for pts in curves.values():
-        pts.sort()
-        assert [t for t, _ in pts] == list(range(501))  # fixed budget: t = 0..500
-        assert pts[-1][1] <= 1e-8
+    ]
+    for _, trace in trials:
+        assert len(trace.errors) == 501  # fixed budget: t = 0..500
+        assert trace.errors[-1] <= 1e-8
 
 
 def test_noise_curve_tenfold_reduction_and_outlier_tracking():
@@ -374,7 +372,11 @@ def test_poisson_deterministic_per_master_seed():
         trials=1, algorithms=(Algorithm.MEDIAN_TWF,), s_values=(0.1,),
         master_seed=4, max_iters=40,
     )
-    assert run_experiment(cfg) == run_experiment(cfg)
+    first, second = run_experiment(cfg), run_experiment(cfg)
+    assert [row for row, _ in first] == [row for row, _ in second]
+    for (_, a), (_, b) in zip(first, second):
+        for column in ("errors", "kept", "median_stat"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
 
 
 # ----------------------------------------------------------- run_experiment
@@ -382,14 +384,14 @@ def test_poisson_deterministic_per_master_seed():
 MTWF_CODE = ALGORITHM_CODES[Algorithm.MEDIAN_TWF]
 BASELINE_CODE = ALGORITHM_CODES[Algorithm.MEAN_TWF]
 
-# experiment -> (row type, [(cell index, algorithm code)] in seed order) for
-# one (n, m) pair, one s/eta/w value, one trial and median-twf alone
+# experiment -> (per-iteration, [(cell index, algorithm code)] in seed order)
+# for one (n, m) pair, one s/eta/w value, one trial and median-twf alone
 EXPERIMENT_LAYOUT = {
-    "single": (ResultRow, [(0, MTWF_CODE)]),
-    "phase_grid": (ResultRow, [(0, MTWF_CODE)]),
-    "outlier_sweep": (ResultRow, [(0, MTWF_CODE)]),
-    "noise_curve": (IterationRow, [(0, MTWF_CODE), (1, BASELINE_CODE)]),
-    "poisson": (IterationRow, [(0, MTWF_CODE), (1, BASELINE_CODE)]),
+    "single": (False, [(0, MTWF_CODE)]),
+    "phase_grid": (False, [(0, MTWF_CODE)]),
+    "outlier_sweep": (False, [(0, MTWF_CODE)]),
+    "noise_curve": (True, [(0, MTWF_CODE), (1, BASELINE_CODE)]),
+    "poisson": (True, [(0, MTWF_CODE), (1, BASELINE_CODE)]),
 }
 
 
@@ -402,9 +404,14 @@ def test_run_experiment_tags_and_seeds_come_from_cfg_experiment(exp_id):
         algorithms=(Algorithm.MEDIAN_TWF,), s_values=(0.1,), master_seed=3, max_iters=2,
         **w_grid,
     )
-    rows = run_experiment(cfg)
-    row_type, seeded = EXPERIMENT_LAYOUT[exp_id]
-    assert rows and all(type(r) is row_type for r in rows)
+    results = run_experiment(cfg)
+    per_iteration, seeded = EXPERIMENT_LAYOUT[exp_id]
+    if per_iteration:  # (row, trace) pairs
+        assert all(type(trace) is IterateTrace for _, trace in results)
+        rows = [row for row, _ in results]
+    else:
+        rows = results
+    assert rows and all(type(r) is ResultRow for r in rows)
     assert all(r.experiment == exp_id or r.experiment.startswith(exp_id + ":") for r in rows)
     code = EXPERIMENTS[exp_id].code
     assert list(dict.fromkeys(r.seed for r in rows)) == [
@@ -472,22 +479,37 @@ def test_result_csv_round_trip_is_exact(tmp_path):
             assert got == want or (math.isnan(got) and math.isnan(want))
 
 
-def test_iteration_csv_round_trip_is_exact(tmp_path):
-    rows = [
-        IterationRow("noise_curve:w=0.01:corrupted", "median-rwf", 64, 512, 3, 0,
-                     1.0 / 3.0, 400, 2.0 ** -40),
-        IterationRow("poisson:clean", "twf", 64, 512, 3, 1, 5e-324, 512, 0.0),
+def _trace(errors, kept, median_stat):
+    zeros = np.zeros(len(errors))
+    return IterateTrace(Algorithm.MEDIAN_RWF, np.array(errors), np.array(kept, dtype=np.int64),
+                        np.array(median_stat), zeros, zeros, None)
+
+
+def test_iteration_csv_bytes_match_csv_writer(tmp_path):
+    def row(tag, algorithm, seed):
+        return ResultRow(tag, algorithm, 64, 512, 0.1, 0.0, 0.01, seed, 0, 0.5, 2, 0.0)
+
+    trials = [
+        (row("noise_curve:w=0.01:corrupted", "median-rwf", 3),
+         _trace([1.0 / 3.0, 5e-324, 0.0], [400, 512, 0], [2.0 ** -40, 0.0, 1.0 / 3.0])),
+        (row("poisson:clean", "twf", 4), None),  # a failed trial writes nothing
+        (row("poisson:clean", "twf", 5), _trace([0.0], [512], [5e-324])),
     ]
     path = tmp_path / "iters.csv"
-    write_iteration_csv(rows, str(path))
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == ITERATION_HEADER
-    with open(path, newline="", encoding="utf-8") as fh:
-        parsed = list(csv.DictReader(fh))
-    for row, rec in zip(rows, parsed):
-        assert float(rec["rel_err"]) == row.rel_err
-        assert float(rec["median_stat"]) == row.median_stat
-        assert int(rec["t"]) == row.t and int(rec["kept"]) == row.kept
+    assert write_iteration_csv(trials, str(path)) == 4
+
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(ITERATION_HEADER.split(","))
+    for r, trace in trials:
+        if trace is None:
+            continue
+        columns = zip(trace.errors.tolist(), trace.kept.tolist(), trace.median_stat.tolist())
+        for t, values in enumerate(columns):
+            writer.writerow([_fmt(v) for v in (r.experiment, r.algorithm, r.n, r.m, r.seed, t,
+                                               *values)])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert "1,4.9406564584124654e-324,512," in expected.getvalue()
 
 
 # ---------------------------------------------------------------------- CLI
