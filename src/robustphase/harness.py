@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
-from .errors import InvalidInputError, _parse_choice
+from .errors import InvalidInputError, RobustPhaseError, _parse_choice
 from .metrics import is_success
 from .model import CorruptionSpec, OutlierModel, derive_seed, generate_problem
 from .solvers import Algorithm, IterateTrace, SolverConfig, run_solver
@@ -185,7 +185,7 @@ def run_trial(
     tol: float = 1e-8,
     timing: bool = False,
 ) -> tuple[ResultRow, IterateTrace | None]:
-    """Run one seeded trial; failures become a failed row, never a crash."""
+    """Run one seeded trial; a package error becomes a failed row, not a crash."""
     start = time.perf_counter()
     trace: IterateTrace | None = None
     try:
@@ -206,7 +206,7 @@ def run_trial(
         final_err = trace.final_error
         iterations = trace.iterations
         success = int(is_success(final_err, tol))
-    except Exception:
+    except RobustPhaseError:  # a bug elsewhere propagates instead of becoming a row
         final_err = float("nan")
         iterations = 0
         success = 0

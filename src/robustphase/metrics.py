@@ -22,10 +22,10 @@ __all__ = [
 ]
 
 
-def _pair(z, x) -> tuple[np.ndarray, np.ndarray]:
+def _pair(z, x, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
-    if z.shape != x.shape or z.ndim != 1:
+    if x.ndim != 1 or z.ndim not in ((1, 2) if stack else (1,)) or z.shape[-1] != len(x):
         raise InvalidInputError(f"vectors must share a 1-D shape, got {z.shape} vs {x.shape}")
     return z, x
 
@@ -35,13 +35,22 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def relative_error(z, x) -> float:
-    """min(||z - x||, ||z + x||) / ||x||; the signal must be nonzero."""
-    z, x = _pair(z, x)
+def relative_error(z, x) -> float | np.ndarray:
+    """min(||z - x||, ||z + x||) / ||x||; the signal must be nonzero.
+
+    ``z`` may also be a (k, n) stack of iterates: the result is then the
+    array of its k row errors, each bitwise what that row alone gives.
+    """
+    z, x = _pair(z, x, stack=True)
     x_norm = _norm(x)
     if x_norm == 0.0:
         raise InvalidInputError("relative error is undefined for a zero signal")
-    return min(_norm(z - x), _norm(z + x)) / x_norm
+    if z.ndim == 1:
+        return min(_norm(z - x), _norm(z + x)) / x_norm
+    d, p = z - x, z + x
+    # np.vecdot sums a row as v @ v does (np.einsum does not), so each row is bitwise _norm.
+    dn, pn = np.sqrt(np.vecdot(d, d)), np.sqrt(np.vecdot(p, p))
+    return np.where(pn < dn, pn, dn) / x_norm  # min(dn, pn), NaN included
 
 
 def is_success(outcome_error: float, tol: float = 1e-8) -> bool:

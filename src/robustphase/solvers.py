@@ -214,6 +214,15 @@ def _check_iterate(ensemble: SensingEnsemble, y, z) -> tuple[np.ndarray, np.ndar
     return y, z, z_norm
 
 
+def _smallest(r: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k smallest entries of r, NaN ranked last and ties taken in
+    index order: the first k of a stable argsort, found by one partition."""
+    cut = np.partition(r, k - 1)[k - 1]
+    below, at = (r < cut, r == cut) if cut == cut else (r == r, r != r)
+    below[np.flatnonzero(at)[: k - np.count_nonzero(below)]] = True
+    return below
+
+
 def _screened_gradient(
     ensemble: SensingEnsemble,
     y,
@@ -250,8 +259,7 @@ def _screened_gradient(
         n_untrimmed = m - _rank(cfg.known_s, m)
         if n_untrimmed <= 0:
             return np.zeros(ensemble.n), 0, 0.0
-        keep = np.ones(m, dtype=bool)
-        keep[np.argsort(resid, kind="stable")[n_untrimmed:]] = False
+        keep = _smallest(resid, n_untrimmed)
         stat = float(resid[keep].sum() / n_untrimmed)
     else:
         stat = sample_median(resid)
@@ -293,7 +301,8 @@ def trimean_twf_gradient(
     Discards the ceil(known_s * m) largest residuals outright, ranked by the
     rule ``sample_quantile`` uses, so float noise in known_s * m cannot drop
     one more; screens the remainder with the usual two events around the
-    trimmed-mean statistic.
+    trimmed-mean statistic.  The kept set is that of a stable sort (ties go
+    to the lower index, NaN ranks last), found by one partition.
     """
     return _screened_gradient(ensemble, y, z, cfg, "intensity", "trimmed")
 
@@ -343,6 +352,9 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
     way the trace records every visited iterate, so its length is at most
     ``max_iters`` + 1.  Measurements too degenerate to initialize from
     (all-zero y, say) raise ``DegenerateMeasurements`` from the init.
+    With ``fixed_iterations`` no stop test reads an error, so one
+    ``relative_error`` call over the stacked visited iterates gives them all
+    after the loop.
 
     On fixed data one step is a deterministic function of the iterate, so
     once z_t equals an earlier z_s bit for bit, iterates s..t-1 repeat with
@@ -357,7 +369,6 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
     kept: list[int] = []
     stats: list[float] = []
     grad_norms: list[float] = []
-    converged_at: int | None = None
     gradient_fn = _gradient_fn(cfg.algorithm)
     visited: dict[bytes, int] = {}  # iterate bytes -> first t; in t order
     t = 0
@@ -365,23 +376,24 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
         cycle_start = visited.setdefault(z.tobytes(), t)
         if cycle_start != t:
             break
-        err = relative_error(z, x)
         gradient, n_kept, stat = gradient_fn(ensemble, y, z, cfg)
         g_norm = math.sqrt(gradient @ gradient)  # bitwise np.linalg.norm
-        errors.append(err)
         kept.append(n_kept)
         stats.append(stat)
         grad_norms.append(g_norm)
-        if converged_at is None and err <= cfg.success_tol:
-            converged_at = t
+        if not cfg.fixed_iterations:  # the stop test needs each error now
+            errors.append(relative_error(z, x))
+            if errors[-1] <= cfg.success_tol or g_norm <= _GRADIENT_FLOOR:
+                break
         if t == cfg.max_iters:
-            break
-        if not cfg.fixed_iterations and (
-            converged_at is not None or g_norm <= _GRADIENT_FLOOR
-        ):
             break
         z = z - mu * gradient
         t += 1
+    if cfg.fixed_iterations:  # one call over the visited iterates, in t order
+        iterates = np.frombuffer(b"".join(visited), dtype=z.dtype).reshape(len(visited), -1)
+        errors = relative_error(iterates, x)
+    hits = np.flatnonzero(np.asarray(errors) <= cfg.success_tol)
+    converged_at = int(hits[0]) if len(hits) else None
     order = slice(None)
     if cycle_start != t:  # z_t == z_s: fill t..max_iters from the cycle s..t-1
         order = np.arange(cfg.max_iters + 1)

@@ -694,6 +694,20 @@ def test_cli_unwritable_output_is_runtime_failure(tmp_path, capsys):
     assert "runtime failure" in capsys.readouterr().err
 
 
+def test_cli_programming_error_is_runtime_failure_not_a_failed_row(
+    tmp_path, capsys, monkeypatch
+):
+    def broken(problem, cfg):
+        raise TypeError("bug in the solver")
+
+    monkeypatch.setattr("robustphase.harness.run_solver", broken)
+    out = tmp_path / "x.csv"
+    code = cli_main(["single", "--n", "16", "--m", "48", "--max-iters", "2", "--out", str(out)])
+    assert code == 1
+    assert "runtime failure: bug in the solver" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_repeated_runs_byte_identical(tmp_path):
     args = ["single", "--n", "32", "--m", "192", "--trials", "3",
             "--algos", "median-twf,median-rwf", "--seed", "3",

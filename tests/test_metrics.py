@@ -58,6 +58,45 @@ def test_relative_error_examples():
         relative_error(x, np.zeros(2))
 
 
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 16, 64, 128, 512])
+def test_relative_error_of_a_stack_is_bitwise_each_row(n):
+    rng = np.random.Generator(np.random.Philox(key=93 + n))
+    x = rng.standard_normal(n)
+    rows = [x, -x]
+    for scale in 10.0 ** np.arange(-10, 4):
+        rows += [x + scale * rng.standard_normal(n), -x + scale * rng.standard_normal(n)]
+        rows.append(scale * rng.standard_normal(n))
+    z = np.array(rows)
+    errors = relative_error(z, x)
+    assert errors.shape == (len(rows),)
+    assert errors[0] == errors[1] == 0.0
+    for row, err in zip(z, errors):
+        assert _bits(err) == _bits(relative_error(row, x))
+
+
+def test_relative_error_of_a_stack_with_nonfinite_rows():
+    x = np.array([3.0, -4.0, 1.0])
+    z = np.array([
+        [np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [-np.inf, 2.0, 1.0],
+        [np.inf, -np.inf, 0.0], [np.nan, np.inf, 0.0], [1.0, 1.0, 1.0],
+    ])
+    errors = relative_error(z, x)
+    for row, err in zip(z, errors):
+        assert _bits(err) == _bits(relative_error(row, x))  # NaN payloads too
+    assert math.isnan(errors[0]) and errors[1] == math.inf
+
+
+def test_relative_error_rejects_bad_stacks():
+    x = np.ones(3)
+    for z, sig in ((np.ones((2, 2, 3)), x), (np.ones((2, 4)), x), (np.ones((2, 3)), np.ones((1, 3)))):
+        with pytest.raises(InvalidInputError):
+            relative_error(z, sig)
+
+
 def test_is_success_boundary_inclusive():
     assert is_success(1e-9, 1e-8)
     assert is_success(1e-8, 1e-8)

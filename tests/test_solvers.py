@@ -243,6 +243,20 @@ def test_trimean_cut_uses_the_guarded_rank():
     assert stat != pytest.approx(smallest[:92].mean(), rel=1e-6)
 
 
+def test_trim_mask_is_the_first_k_of_a_stable_argsort():
+    # Integer residuals tie often; NaN and inf rank last, as a sort puts them.
+    rng = np.random.Generator(np.random.Philox(key=73))
+    for m in range(1, 41):
+        for _ in range(3):
+            r = rng.integers(0, 6, size=m).astype(float)
+            r[rng.random(m) < 0.15] = np.nan
+            r[rng.random(m) < 0.1] = np.inf
+            for k in range(1, m + 1):
+                expected = np.zeros(m, dtype=bool)
+                expected[np.argsort(r, kind="stable")[:k]] = True
+                np.testing.assert_array_equal(solvers_module._smallest(r, k), expected)
+
+
 def test_median_statistic_is_outlier_insensitive():
     """Corrupting 40% of residuals moves K_t at most between the clean
     0.1 and 0.9 quantiles."""
@@ -511,6 +525,33 @@ def test_cycle_replay_matches_full_recomputation(
     assert trace.gradient_norms.tobytes() == g_norms.tobytes()
     assert trace.final_z.tobytes() == final_z.tobytes()
     assert trace.converged_at == converged_at
+
+
+CONVERGING_PROBLEM = dict(n=64, m=512, spec=CorruptionSpec(), master_seed=1)
+
+
+def _trimmed_if_needed(algorithm, **kw):
+    known_s = 0.05 if algorithm is Algorithm.TRIMEAN_TWF else None
+    return SolverConfig(algorithm=algorithm, known_s=known_s, **kw)
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_fixed_budget_errors_after_the_loop_match_the_reference(algorithm):
+    problem = generate_problem(**CONVERGING_PROBLEM)
+    cfg = _trimmed_if_needed(algorithm, fixed_iterations=True)
+    errors, kept, stats, g_norms, final_z, converged_at = _reference_run(problem, cfg)
+    trace = run_solver(problem, cfg)
+    assert converged_at is not None
+    assert trace.errors.tobytes() == errors.tobytes()
+    assert trace.kept.tobytes() == kept.tobytes()
+    assert trace.median_stat.tobytes() == stats.tobytes()
+    assert trace.gradient_norms.tobytes() == g_norms.tobytes()
+    assert trace.final_z.tobytes() == final_z.tobytes()
+    assert trace.converged_at == converged_at
+
+    early = run_solver(problem, _trimmed_if_needed(algorithm))
+    assert early.converged_at == early.iterations == converged_at
+    assert early.errors.tobytes() == trace.errors[: converged_at + 1].tobytes()
 
 
 def test_degenerate_measurements_raise():
