@@ -21,7 +21,6 @@ leaves its worker as one trace of arrays; the parent formats its rows.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 import time
@@ -130,6 +129,8 @@ class ExperimentConfig:
             if dropped:
                 raise InvalidInputError(f"{self.experiment} does not take {what}")
         algorithms = tuple(_parse_choice(Algorithm, a) for a in self.algorithms)
+        if len(set(algorithms)) < len(algorithms):  # a repeat would rerun the same seeds
+            raise InvalidInputError(f"algorithms repeat: {', '.join(a.value for a in algorithms)}")
         object.__setattr__(self, "algorithms", algorithms)
 
 
@@ -334,25 +335,24 @@ def _poisson_cells(cfg: ExperimentConfig) -> _Cells:
     return _reference_cells(cfg, [(cfg.experiment, corrupted, CorruptionSpec(poisson=True))])
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def write_result_csv(rows: list[ResultRow], path: str) -> int:
-    """Write one line per row; returns the number of data rows."""
+    """Write one line per row, floats to 17 significant digits; returns the
+    number of data rows.  No field needs quoting: experiment ids and
+    algorithm names contain no comma, quote or line break."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_HEADER.split(","))
-        for row in rows:
-            writer.writerow([_fmt(v) for v in vars(row).values()])
+        fh.write(RESULT_HEADER + "\n")
+        fh.writelines(
+            f"{r.experiment},{r.algorithm},{r.n},{r.m},{r.s:.17g},{r.eta_max_rel:.17g},"
+            f"{r.w_max_rel:.17g},{r.seed},{r.success},{r.final_rel_err:.17g},"
+            f"{r.iterations},{r.wall_time_ms:.17g}\n"
+            for r in rows
+        )
     return len(rows)
 
 
 def write_iteration_csv(trials: list[_Trial], path: str) -> int:
-    """One line per iterate of each trace (none for a failed trial); returns the
-    row count.  The bytes of ``csv.writer`` over ``_fmt``: no field needs quoting."""
+    """One line per iterate of each trace (none for a failed trial), in the
+    number format of ``write_result_csv``; returns the row count."""
     count = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(ITERATION_HEADER + "\n")
@@ -430,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
         m_grid.add_argument("--m-over-n", type=floats, help="comma list of m/n ratios")
         sp.add_argument("--trials", type=int)
         sp.add_argument(
-            "--algos", "--algo", dest="algorithms", type=_comma_list(str),
+            "--algos", dest="algorithms", type=_comma_list(str),
             help="comma list: " + ", ".join(a.value for a in Algorithm),
         )
         sp.add_argument("--s", dest="s_values", type=floats,

@@ -263,21 +263,13 @@ def apply_corruption(
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """A fully materialized trial: signal, ensemble, measurements, provenance."""
+    """A fully materialized trial: signal, ensemble, measurements, and the
+    master seed they derive from (the init keys its own stream off it)."""
 
     signal: np.ndarray
     ensemble: SensingEnsemble
     measurements: MeasurementSet
-    corruption: CorruptionSpec
     master_seed: int
-
-    @property
-    def n(self) -> int:
-        return self.ensemble.n
-
-    @property
-    def m(self) -> int:
-        return self.ensemble.m
 
 
 def generate_problem(
@@ -302,6 +294,5 @@ def generate_problem(
         signal=signal,
         ensemble=ensemble,
         measurements=measurements,
-        corruption=spec,
         master_seed=int(master_seed),
     )

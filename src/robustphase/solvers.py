@@ -136,18 +136,15 @@ class IterateTrace:
     """Per-iterate history of a solver run.
 
     Arrays are aligned: entry t holds the relative error of z_t together
-    with the truncation-set size, screening statistic (K_t, M_t, or the
-    mean/trimmed-mean stand-in; reported but unused for plain RWF), and
-    gradient norm evaluated at z_t.  ``converged_at`` is the first iterate
-    whose error reached the success tolerance, whether or not the run
-    stopped there.
+    with the truncation-set size and screening statistic (K_t, M_t, or the
+    mean/trimmed-mean stand-in; reported but unused for plain RWF)
+    evaluated at z_t.  ``converged_at`` is the first iterate whose error
+    reached the success tolerance, whether or not the run stopped there.
     """
 
-    algorithm: Algorithm
     errors: np.ndarray
     kept: np.ndarray
     median_stat: np.ndarray
-    gradient_norms: np.ndarray
     final_z: np.ndarray
     converged_at: int | None
 
@@ -368,7 +365,6 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
     errors: list[float] = []
     kept: list[int] = []
     stats: list[float] = []
-    grad_norms: list[float] = []
     gradient_fn = _gradient_fn(cfg.algorithm)
     visited: dict[bytes, int] = {}  # iterate bytes -> first t; in t order
     t = 0
@@ -380,7 +376,6 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
         g_norm = math.sqrt(gradient @ gradient)  # bitwise np.linalg.norm
         kept.append(n_kept)
         stats.append(stat)
-        grad_norms.append(g_norm)
         if not cfg.fixed_iterations:  # the stop test needs each error now
             errors.append(relative_error(z, x))
             if errors[-1] <= cfg.success_tol or g_norm <= _GRADIENT_FLOOR:
@@ -400,11 +395,9 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
         order[t:] = cycle_start + order[: cfg.max_iters + 1 - t] % (t - cycle_start)
         z = np.frombuffer(list(visited)[order[-1]], dtype=z.dtype).copy()
     return IterateTrace(
-        algorithm=cfg.algorithm,
         errors=np.array(errors)[order],
         kept=np.array(kept, dtype=np.int64)[order],
         median_stat=np.array(stats)[order],
-        gradient_norms=np.array(grad_norms)[order],
         final_z=z,
         converged_at=converged_at,
     )

@@ -76,7 +76,7 @@ def test_criterion_1_noise_free_phase_transition():
         cfg = ExperimentConfig(
             experiment="phase_grid", n_values=(128,),
             m_over_n=(2.0, 3.0, 4.0, 5.0, 6.0), trials=20, algorithms=FOUR,
-            s_values=(0.0,), master_seed=MASTER, fixed_T=False, tol=1e-8,
+            s_values=(0.0,), master_seed=MASTER, fixed_T=False, tol=1e-8, threads=2,
         )
         counts = _success_table(run_experiment(cfg), key=lambda r: (r.m // r.n, r.algorithm))
         for algo in FOUR:
@@ -106,7 +106,7 @@ def test_criterion_3_amplitude_median_tolerates_more_outliers():
             m_over_n=None, trials=100,
             algorithms=(Algorithm.MEDIAN_TWF, Algorithm.MEDIAN_RWF),
             s_values=(0.05, 0.10, 0.15, 0.20), eta_values=(1.0,),
-            master_seed=MASTER, fixed_T=False,
+            master_seed=MASTER, fixed_T=False, threads=2,
         )
         counts = _success_table(run_experiment(cfg), key=lambda r: (r.s, r.algorithm))
         for s in (0.05, 0.10, 0.15, 0.20):

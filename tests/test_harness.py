@@ -38,7 +38,6 @@ from robustphase.harness import (
     ResultRow,
     TrialCell,
     _build_parser,
-    _fmt,
     cli_main,
     main,
     run_experiment,
@@ -179,6 +178,8 @@ def _cfg(**overrides):
         dict(m_values=None, m_over_n=(float("inf"),)),
         dict(m_values=()),
         dict(master_seed=-1),
+        dict(algorithms=("median-twf", "median-twf")),
+        dict(algorithms=("twf", Algorithm.MEAN_TWF)),  # one algorithm, two spellings
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -479,10 +480,34 @@ def test_result_csv_round_trip_is_exact(tmp_path):
             assert got == want or (math.isnan(got) and math.isnan(want))
 
 
+def _csv_writer_bytes(header, records):
+    """The reference: ``csv.writer`` over 17-digit floats and ``str`` otherwise."""
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header.split(","))
+    for record in records:
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in record])
+    return expected.getvalue().encode("utf-8")
+
+
+def test_result_csv_bytes_match_csv_writer(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    rows = [
+        ResultRow("outlier_sweep", "trimean-twf", 64, 512, 0.1 + 0.2, inf, -0.0, 2**63, 1,
+                  5e-324, 500, 12.345678901234567),
+        ResultRow("single", "rwf", 8, 16, 0, -inf, 0.0, 0, 0, nan, 0, 0.0),
+        ResultRow("phase_grid", "median-rwf", 512, 2048, 0.0, 1.0, 1e-3, 7, 0, -0.0, 3, 0.5),
+    ]
+    path = tmp_path / "rows.csv"
+    assert write_result_csv(rows, str(path)) == 3
+    data = path.read_bytes()
+    assert data == _csv_writer_bytes(RESULT_HEADER, [vars(r).values() for r in rows])
+    assert b",0.30000000000000004,inf,-0,9223372036854775808,1,4.9406564584124654e-324," in data
+
+
 def _trace(errors, kept, median_stat):
-    zeros = np.zeros(len(errors))
-    return IterateTrace(Algorithm.MEDIAN_RWF, np.array(errors), np.array(kept, dtype=np.int64),
-                        np.array(median_stat), zeros, zeros, None)
+    return IterateTrace(np.array(errors), np.array(kept, dtype=np.int64),
+                        np.array(median_stat), np.zeros(len(errors)), None)
 
 
 def test_iteration_csv_bytes_match_csv_writer(tmp_path):
@@ -498,18 +523,16 @@ def test_iteration_csv_bytes_match_csv_writer(tmp_path):
     path = tmp_path / "iters.csv"
     assert write_iteration_csv(trials, str(path)) == 4
 
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(ITERATION_HEADER.split(","))
-    for r, trace in trials:
-        if trace is None:
-            continue
-        columns = zip(trace.errors.tolist(), trace.kept.tolist(), trace.median_stat.tolist())
-        for t, values in enumerate(columns):
-            writer.writerow([_fmt(v) for v in (r.experiment, r.algorithm, r.n, r.m, r.seed, t,
-                                               *values)])
-    assert path.read_bytes() == expected.getvalue().encode("utf-8")
-    assert "1,4.9406564584124654e-324,512," in expected.getvalue()
+    expected = _csv_writer_bytes(ITERATION_HEADER, [
+        (r.experiment, r.algorithm, r.n, r.m, r.seed, t, *values)
+        for r, trace in trials
+        if trace is not None
+        for t, values in enumerate(
+            zip(trace.errors.tolist(), trace.kept.tolist(), trace.median_stat.tolist())
+        )
+    ])
+    assert path.read_bytes() == expected
+    assert b"1,4.9406564584124654e-324,512," in expected
 
 
 # ---------------------------------------------------------------------- CLI
@@ -591,6 +614,16 @@ TINY = ["--n", "4", "--m", "16", "--algos", "median-twf", "--max-iters", "2"]
 def test_cli_rejects_values_the_experiment_would_drop(tmp_path, argv):
     out = tmp_path / "x.csv"
     assert cli_main(argv + TINY + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_rejects_a_repeated_algorithm(tmp_path, capsys):
+    # A repeat would derive the same trial seeds and write every row twice.
+    out = tmp_path / "x.csv"
+    argv = ["single", "--algos", "median-twf,median-twf", "--trials", "2", "--n", "4",
+            "--m", "16", "--max-iters", "2", "--out", str(out)]
+    assert cli_main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
 
 

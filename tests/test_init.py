@@ -138,6 +138,19 @@ def test_power_iteration_budget_exhaustion_is_nonfatal():
     assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_power_iteration_budget_is_max_iters_capped_at_n():
+    # Eigenvalues evenly spread over [1, 2] take more than 40 applies (59 here).
+    d = np.linspace(1.0, 2.0, 200)
+    _, iters, converged = leading_eigenvector(lambda u: d * u, 200)
+    assert converged and iters > 40
+    assert leading_eigenvector(lambda u: d * u, 200, max_iters=40)[1:] == (40, False)
+    # Below n, a budget larger than n still stops after n applies; a tolerance
+    # no rounding residual meets keeps the run from converging earlier.
+    d = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+    _, iters, _ = leading_eigenvector(lambda u: d * u, 5, tol=1e-300, max_iters=50)
+    assert iters == 5
+
+
 def test_power_iteration_rejects_non_finite_operator_output():
     with pytest.raises(NumericalFailure):
         leading_eigenvector(lambda u: np.full_like(u, np.inf), 3)

@@ -174,6 +174,21 @@ def test_gradients_reject_zero_iterate():
         mtwf_gradient(ens, y[:-1], x, MTWF)
 
 
+@pytest.mark.parametrize("fn, cfg", [
+    (mtwf_gradient, MTWF),
+    (twf_gradient, TWF),
+    (trimean_twf_gradient, SolverConfig(algorithm=Algorithm.TRIMEAN_TWF, known_s=0.0)),
+], ids=["median", "mean", "trimmed"])
+def test_e1_lower_bound_keeps_its_tie(fn, cfg):
+    # With z = e_1 the first row has |a.z| = 0.3 = alpha_l ||z|| exactly; every
+    # residual is 0.01, well inside E2, so only E1 could drop a row.
+    ens = SensingEnsemble(rows=np.array([[0.3, 0.0], [1.0, 0.0], [2.0, 0.0]]), seed=0)
+    z = np.array([1.0, 0.0])
+    y = (ens.rows @ z) ** 2 + 0.01
+    _, kept, _ = fn(ens, y, z, cfg)
+    assert kept == 3
+
+
 def test_mean_statistic_explodes_under_one_outlier_median_does_not():
     ens, x, y = _perfect_instance(n=8, m=100, seed=62)
     y = y.copy()
@@ -417,7 +432,7 @@ def test_trace_alignment_and_early_stop():
     trace = run_solver(prob, MTWF)
     assert trace.final_error <= 1e-8
     assert trace.converged_at == trace.iterations  # stopped right there
-    for arr in (trace.kept, trace.median_stat, trace.gradient_norms):
+    for arr in (trace.kept, trace.median_stat):
         assert len(arr) == len(trace.errors)
     assert trace.iterations <= MTWF.max_iters
 
@@ -522,7 +537,6 @@ def test_cycle_replay_matches_full_recomputation(
     assert trace.errors.tobytes() == errors.tobytes()
     assert trace.kept.tobytes() == kept.tobytes()
     assert trace.median_stat.tobytes() == stats.tobytes()
-    assert trace.gradient_norms.tobytes() == g_norms.tobytes()
     assert trace.final_z.tobytes() == final_z.tobytes()
     assert trace.converged_at == converged_at
 
@@ -545,13 +559,23 @@ def test_fixed_budget_errors_after_the_loop_match_the_reference(algorithm):
     assert trace.errors.tobytes() == errors.tobytes()
     assert trace.kept.tobytes() == kept.tobytes()
     assert trace.median_stat.tobytes() == stats.tobytes()
-    assert trace.gradient_norms.tobytes() == g_norms.tobytes()
     assert trace.final_z.tobytes() == final_z.tobytes()
     assert trace.converged_at == converged_at
 
     early = run_solver(problem, _trimmed_if_needed(algorithm))
     assert early.converged_at == early.iterations == converged_at
     assert early.errors.tobytes() == trace.errors[: converged_at + 1].tobytes()
+
+
+def test_converged_at_is_the_first_error_at_or_below_the_tolerance():
+    problem = generate_problem(**CONVERGING_PROBLEM)
+    cfg = SolverConfig(algorithm=Algorithm.MEDIAN_TWF, max_iters=100, fixed_iterations=True)
+    errors = run_solver(problem, cfg).errors
+    j = int(np.flatnonzero(errors <= 1e-3)[0])  # every earlier error is larger
+    tied = dataclasses.replace(cfg, success_tol=float(errors[j]))
+    assert run_solver(problem, tied).converged_at == j
+    early = run_solver(problem, dataclasses.replace(tied, fixed_iterations=False))
+    assert early.converged_at == early.iterations == j
 
 
 def test_degenerate_measurements_raise():
@@ -564,7 +588,6 @@ def test_degenerate_measurements_raise():
             y=np.zeros(12), outlier_support=np.empty(0, dtype=np.int64),
             noise=np.zeros(12),
         ),
-        corruption=CorruptionSpec(),
         master_seed=0,
     )
     with pytest.raises(DegenerateMeasurements):
