@@ -112,8 +112,8 @@ class ExperimentConfig:
         ratios = self.m_over_n
         if ratios is not None and not (ratios and all(0.0 < r < math.inf for r in ratios)):
             raise InvalidInputError("m/n grid must be nonempty with finite, positive ratios")
-        if not self.s_values or not self.eta_values or not self.w_values:
-            raise InvalidInputError("s, eta, and w grids must be nonempty")
+        if not (self.algorithms and self.s_values and self.eta_values and self.w_values):
+            raise InvalidInputError("algorithm, s, eta, and w grids must be nonempty")
         if not all(0.0 <= s < 0.5 for s in self.s_values):
             raise InvalidInputError(f"outlier fractions must lie in [0, 0.5): {self.s_values}")
         if not all(0.0 <= v < math.inf for v in (*self.eta_values, *self.w_values)):
@@ -190,17 +190,12 @@ def run_trial(
     start = time.perf_counter()
     trace: IterateTrace | None = None
     try:
-        known_s = (
-            cell.corruption.outlier_fraction
-            if algorithm is Algorithm.TRIMEAN_TWF
-            else None
-        )
         cfg = SolverConfig(
             algorithm=algorithm,
             max_iters=max_iters,
             success_tol=tol,
             fixed_iterations=fixed_T,
-            known_s=known_s,
+            known_s=cell.corruption.outlier_fraction,  # only trimean-twf reads known_s
         )
         problem = generate_problem(cell.n, cell.m, cell.corruption, trial_seed)
         trace = run_solver(problem, cfg)

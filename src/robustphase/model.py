@@ -78,10 +78,9 @@ def sample_signal(n: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SensingEnsemble:
-    """m Gaussian sensing rows with the seed they were drawn from."""
+    """m Gaussian sensing rows, one per measurement."""
 
     rows: np.ndarray
-    seed: int
 
     @property
     def m(self) -> int:
@@ -96,7 +95,7 @@ def sample_ensemble(n: int, m: int, seed: int) -> SensingEnsemble:
     """Sensing ensemble: an (m, n) matrix of i.i.d. standard normals."""
     if n < 1 or m < 1:
         raise InvalidInputError(f"ensemble dimensions must be >= 1, got n={n} m={m}")
-    return SensingEnsemble(rows=_rng(seed).standard_normal((m, n)), seed=int(seed))
+    return SensingEnsemble(rows=_rng(seed).standard_normal((m, n)))
 
 
 def clean_measurements(ensemble: SensingEnsemble, x: np.ndarray) -> np.ndarray:
@@ -213,8 +212,8 @@ def apply_corruption(
         clean + noise + (outliers scattered on the support), exactly.
 
     Raises:
-        InvalidInputError: negative clean entries, or a missing positive
-            x_norm when relative magnitudes are required.
+        InvalidInputError: negative clean entries, or an x_norm that is not
+            finite and positive when relative magnitudes are required.
     """
     clean = np.asarray(clean, dtype=float)
     if clean.ndim != 1 or clean.size == 0:
@@ -229,8 +228,8 @@ def apply_corruption(
         and spec.outlier_model
         in (OutlierModel.UNIFORM, OutlierModel.INTEGER_UNIFORM)
     )
-    if needs_scale and not x_norm > 0.0:
-        raise InvalidInputError("x_norm must be positive for relative magnitudes")
+    if needs_scale and not 0.0 < x_norm < math.inf:
+        raise InvalidInputError("x_norm must be finite and positive for relative magnitudes")
 
     rng = _rng(seed)
     signal_power = float(x_norm) ** 2
@@ -240,24 +239,19 @@ def apply_corruption(
     w_max = spec.w_max_rel * signal_power
     noise = rng.uniform(0.0, w_max, size=m) if w_max > 0.0 else np.zeros(m)
 
-    if s > 0.0:
+    y = base + noise
+    if s > 0.0:  # a clean problem draws no placement uniforms
         support = np.flatnonzero(rng.random(m) < s)
-    else:
-        support = np.empty(0, dtype=np.int64)
-    k = support.size
-
-    if k > 0:
+        k = support.size  # the value draws come last, so k = 0 draws nothing
         if spec.outlier_model is OutlierModel.UNIFORM:
             values = rng.uniform(0.0, spec.eta_max_rel * signal_power, size=k)
         elif spec.outlier_model is OutlierModel.NOISE_NORM:
             values = np.full(k, np.linalg.norm(noise))
         else:
             values = np.round(signal_power * rng.random(k))
+        y[support] += values
     else:
-        values = np.empty(0)
-
-    y = base + noise
-    y[support] += values
+        support = np.empty(0, dtype=np.int64)
     return MeasurementSet(y=y, outlier_support=support.astype(np.int64), noise=noise)
 
 

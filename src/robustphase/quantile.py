@@ -62,6 +62,12 @@ def _rank(p: float, m: int) -> int:
     return math.ceil(pm - 1e-12 * max(1.0, pm))
 
 
+def _order_statistic(xs: np.ndarray, p: float) -> float:
+    # The ceil(p * m)-th smallest entry of a validated sample, by one partition.
+    k = min(max(_rank(p, xs.size), 1), xs.size)
+    return float(np.partition(xs, k - 1)[k - 1])
+
+
 def sample_quantile(values, p: float) -> float:
     """Generalized quantile: the ``ceil(p * m)``-th order statistic.
 
@@ -80,9 +86,7 @@ def sample_quantile(values, p: float) -> float:
     xs = _validated_sample(values)
     if not 0.0 < p < 1.0:
         raise InvalidInputError(f"quantile level must lie in (0, 1), got {p}")
-    m = xs.size
-    k = min(max(_rank(p, m), 1), m)
-    return float(np.partition(xs, k - 1)[k - 1])
+    return _order_statistic(xs, p)
 
 
 def sample_median(values) -> float:
@@ -90,12 +94,10 @@ def sample_median(values) -> float:
 
     For even m this is the ``(m // 2)``-th order statistic, the lower of the
     two central values; for odd m it is the usual middle value.  The rank
-    ``ceil(m / 2)`` is taken directly, the same rank ``sample_quantile``
-    computes for p = 1/2.
+    ``ceil(m / 2)`` comes from the same rule and selection that
+    ``sample_quantile`` uses.
     """
-    xs = _validated_sample(values)
-    k = (xs.size + 1) // 2
-    return float(np.partition(xs, k - 1)[k - 1])
+    return _order_statistic(_validated_sample(values), 0.5)
 
 
 def product_gaussian_density(x, rho: float):

@@ -41,11 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInputError, _parse_choice
-from .metrics import relative_error
+from .metrics import _norm, relative_error
 from .model import TAG_INIT, ProblemInstance, SensingEnsemble, derive_seed
 from .quantile import _rank, sample_median
 from .spectral import InitResult, mean_spectral_init, median_spectral_init
@@ -74,18 +75,6 @@ class Algorithm(str, Enum):
     MEAN_TWF = "twf"
     PLAIN_RWF = "rwf"
     TRIMEAN_TWF = "trimean-twf"
-
-    @property
-    def is_twf_family(self) -> bool:
-        return self in (Algorithm.MEDIAN_TWF, Algorithm.MEAN_TWF, Algorithm.TRIMEAN_TWF)
-
-    @property
-    def uses_median_init(self) -> bool:
-        return self in (
-            Algorithm.MEDIAN_TWF,
-            Algorithm.MEDIAN_RWF,
-            Algorithm.TRIMEAN_TWF,
-        )
 
 
 @dataclass(frozen=True)
@@ -128,7 +117,7 @@ class SolverConfig:
 
     @property
     def step_size(self) -> float:
-        return 0.4 if self.algorithm.is_twf_family else 0.8
+        return _recipe(self.algorithm)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +194,7 @@ def _check_iterate(ensemble: SensingEnsemble, y, z) -> tuple[np.ndarray, np.ndar
             f"shape mismatch: y {y.shape}, z {z.shape} vs ensemble "
             f"({ensemble.m}, {ensemble.n})"
         )
-    z_norm = math.sqrt(z @ z)  # bitwise np.linalg.norm(z) for a 1-D float array
+    z_norm = _norm(z)
     if z_norm == 0.0:
         raise InvalidInputError("iterate is zero; truncation events are undefined")
     return y, z, z_norm
@@ -321,21 +310,26 @@ def rwf_gradient(
     return _screened_gradient(ensemble, y, z, cfg, "amplitude", "none")
 
 
-def _gradient_fn(algorithm: Algorithm):
+def _recipe(algorithm: Algorithm) -> tuple[Callable, Callable, float]:
+    """(gradient, init, step size) of an algorithm.
+
+    The intensity family steps 0.4 and the amplitude family 0.8; the mean
+    and untruncated baselines start from the mean init.
+    """
     # Built on each call rather than at import, so a rebound module
     # attribute (perfbench's tracer wraps these names) is what runs.
     return {
-        Algorithm.MEDIAN_TWF: mtwf_gradient,
-        Algorithm.MEDIAN_RWF: mrwf_gradient,
-        Algorithm.MEAN_TWF: twf_gradient,
-        Algorithm.PLAIN_RWF: rwf_gradient,
-        Algorithm.TRIMEAN_TWF: trimean_twf_gradient,
+        Algorithm.MEDIAN_TWF: (mtwf_gradient, median_spectral_init, 0.4),
+        Algorithm.MEDIAN_RWF: (mrwf_gradient, median_spectral_init, 0.8),
+        Algorithm.MEAN_TWF: (twf_gradient, mean_spectral_init, 0.4),
+        Algorithm.PLAIN_RWF: (rwf_gradient, mean_spectral_init, 0.8),
+        Algorithm.TRIMEAN_TWF: (trimean_twf_gradient, median_spectral_init, 0.4),
     }[algorithm]
 
 
 def _initialize(problem: ProblemInstance, cfg: SolverConfig) -> InitResult:
-    seed = derive_seed(problem.master_seed, TAG_INIT)
-    init_fn = median_spectral_init if cfg.algorithm.uses_median_init else mean_spectral_init
+    seed = derive_seed(problem.master_seed, TAG_INIT)  # the one init seed rule
+    init_fn = _recipe(cfg.algorithm)[1]
     return init_fn(
         problem.ensemble, problem.measurements.y, alpha_y=cfg.alpha_y, seed=seed
     )
@@ -360,12 +354,11 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
     from that cycle instead of recomputed; the result is the same bytes.
     """
     x, ensemble, y = problem.signal, problem.ensemble, problem.measurements.y
-    mu = cfg.step_size
+    gradient_fn, _, mu = _recipe(cfg.algorithm)
     z = _initialize(problem, cfg).z0
     errors: list[float] = []
     kept: list[int] = []
     stats: list[float] = []
-    gradient_fn = _gradient_fn(cfg.algorithm)
     visited: dict[bytes, int] = {}  # iterate bytes -> first t; in t order
     t = 0
     while True:
@@ -373,12 +366,11 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
         if cycle_start != t:
             break
         gradient, n_kept, stat = gradient_fn(ensemble, y, z, cfg)
-        g_norm = math.sqrt(gradient @ gradient)  # bitwise np.linalg.norm
         kept.append(n_kept)
         stats.append(stat)
         if not cfg.fixed_iterations:  # the stop test needs each error now
             errors.append(relative_error(z, x))
-            if errors[-1] <= cfg.success_tol or g_norm <= _GRADIENT_FLOOR:
+            if errors[-1] <= cfg.success_tol or _norm(gradient) <= _GRADIENT_FLOOR:
                 break
         if t == cfg.max_iters:
             break

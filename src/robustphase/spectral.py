@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateMeasurements, InvalidInputError, NumericalFailure
-from .model import TAG_INIT, SensingEnsemble, derive_seed
+from .model import SensingEnsemble, _rng
 from .quantile import sample_median
 
 __all__ = [
@@ -109,8 +109,7 @@ def leading_eigenvector(
         raise InvalidInputError(f"tolerance must be positive, got {tol}")
     if n < 1 or max_iters < 1:
         raise InvalidInputError("n and max_iters must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    v = rng.standard_normal(n)
+    v = _rng(seed).standard_normal(n)
     basis = np.empty((min(max_iters, n), n))
     basis[0] = v / np.linalg.norm(v)
     alphas: list[float] = []
@@ -150,7 +149,7 @@ def _spectral_init(
     y,
     estimate_lambda0: Callable[[np.ndarray], float],
     alpha_y: float,
-    seed: int | None,
+    seed: int,
 ) -> InitResult:
     if alpha_y <= 0.0:
         raise InvalidInputError(f"alpha_y must be positive, got {alpha_y}")
@@ -164,8 +163,6 @@ def _spectral_init(
     if lambda0 == 0.0:
         raise DegenerateMeasurements("scale estimate is zero; the measurements carry no norm")
     weights, kept = _surrogate_weights(y, alpha_y, lambda0)
-    if seed is None:
-        seed = derive_seed(ensemble.seed, TAG_INIT)
     direction, iters, converged = leading_eigenvector(
         lambda v: _weighted_apply(ensemble, weights, v),
         ensemble.n,
@@ -181,15 +178,14 @@ def _spectral_init(
 
 
 def median_spectral_init(
-    ensemble: SensingEnsemble,
-    y,
-    alpha_y: float = 3.0,
-    seed: int | None = None,
+    ensemble: SensingEnsemble, y, alpha_y: float = 3.0, *, seed: int
 ) -> InitResult:
     """Median-truncated spectral initialization.
 
     The returned iterate satisfies ||z0|| = lambda0; its direction carries
     an arbitrary sign, which downstream distance computations absorb.
+    ``seed`` keys the Lanczos start vector; the solver passes
+    ``derive_seed(master_seed, TAG_INIT)``.
 
     Raises:
         DegenerateMeasurements: the median of y is negative or zero.
@@ -198,14 +194,12 @@ def median_spectral_init(
 
 
 def mean_spectral_init(
-    ensemble: SensingEnsemble,
-    y,
-    alpha_y: float = 3.0,
-    seed: int | None = None,
+    ensemble: SensingEnsemble, y, alpha_y: float = 3.0, *, seed: int
 ) -> InitResult:
     """Mean-based initialization used by the non-robust baselines.
 
     lambda0 = sqrt(mean(y)); a single enormous outlier inflates it without
     bound, which is exactly the fragility the robust variant avoids.
+    ``seed`` keys the Lanczos start vector, as for the median init.
     """
     return _spectral_init(ensemble, y, _mean_scale, alpha_y, seed)

@@ -208,12 +208,13 @@ def test_m_over_n_rounds_to_nearest_with_floor_one():
 # --------------------------------------------------------------- phase_grid
 
 
-def test_phase_grid_empty_algorithm_list_yields_no_rows():
-    cfg = ExperimentConfig(
-        experiment="phase_grid", n_values=(16,), m_values=(48,), m_over_n=None,
-        algorithms=(), max_iters=1,
-    )
-    assert run_experiment(cfg) == []
+def test_phase_grid_empty_algorithm_list_is_rejected():
+    # Like every other empty grid: a run that could only write a header fails.
+    with pytest.raises(InvalidInputError):
+        ExperimentConfig(
+            experiment="phase_grid", n_values=(16,), m_values=(48,), m_over_n=None,
+            algorithms=(), max_iters=1,
+        )
 
 
 def test_phase_grid_canonical_order_and_seed_derivation():
@@ -623,6 +624,13 @@ def test_cli_rejects_a_repeated_algorithm(tmp_path, capsys):
     argv = ["single", "--algos", "median-twf,median-twf", "--trials", "2", "--n", "4",
             "--m", "16", "--max-iters", "2", "--out", str(out)]
     assert cli_main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_an_empty_algorithm_list(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli_main(["single", "--algos", ",", "--n", "4", "--m", "16", "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from robustphase import (
+    TAG_INIT,
     CorruptionSpec,
     DegenerateMeasurements,
     InitResult,
@@ -14,6 +15,7 @@ from robustphase import (
     NumericalFailure,
     SensingEnsemble,
     clean_measurements,
+    derive_seed,
     generate_problem,
     leading_eigenvector,
     mean_spectral_init,
@@ -65,7 +67,7 @@ def test_surrogate_empty_mask_gives_zero():
 
 
 def test_surrogate_rank_one_action():
-    ens = SensingEnsemble(rows=np.array([[1.0, 0.0]]), seed=0)
+    ens = SensingEnsemble(rows=np.array([[1.0, 0.0]]))
     y = np.array([1.0])
     out = surrogate_apply(ens, y, alpha_y=3.0, lambda0=1.0, v=np.array([1.0, 0.0]))
     np.testing.assert_allclose(out, [1.0, 0.0])
@@ -166,7 +168,7 @@ def test_mean_init_overflow_raises_instead_of_zero_direction():
     y = clean_measurements(ens, sample_signal(4, seed=2))
     y[0] = 1e200
     with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
-        mean_spectral_init(ens, y)
+        mean_spectral_init(ens, y, seed=0)
 
 
 def test_power_iteration_rejects_bad_arguments():
@@ -198,7 +200,7 @@ def test_init_direction_matches_dense_eigh(init, spec):
     for seed in range(3):
         prob = generate_problem(64, 512, spec, master_seed=80 + seed)
         ens, y = prob.ensemble, prob.measurements.y
-        res = init(ens, y)
+        res = init(ens, y, seed=derive_seed(prob.master_seed, TAG_INIT))
         weights = _surrogate_weights(y, 3.0, res.lambda0)[0]
         theta, vecs = np.linalg.eigh((ens.rows.T * weights) @ ens.rows / ens.m)
         top = vecs[:, np.argmax(np.abs(theta))]
@@ -216,7 +218,9 @@ def test_eigensolver_picks_dominant_negative_eigenvalue():
 def test_median_init_cost_at_n512():
     # About 23 applies here; 30 leaves room for rounding, not for a slower solver.
     prob = generate_problem(512, 2048, CorruptionSpec(), 11)
-    res = median_spectral_init(prob.ensemble, prob.measurements.y)
+    res = median_spectral_init(
+        prob.ensemble, prob.measurements.y, seed=derive_seed(prob.master_seed, TAG_INIT)
+    )
     assert res.converged and res.power_iters <= 30
 
 
@@ -233,7 +237,7 @@ def test_median_init_accuracy_noise_free():
     for seed in range(100):
         ens = sample_ensemble(n, m, seed=5000 + seed)
         x = sample_signal(n, seed=6000 + seed)
-        res = median_spectral_init(ens, clean_measurements(ens, x))
+        res = median_spectral_init(ens, clean_measurements(ens, x), seed=0)
         assert np.linalg.norm(res.z0) == pytest.approx(res.lambda0, rel=1e-12)
         if relative_error(res.z0, x) <= 0.35:
             hits += 1
@@ -248,7 +252,9 @@ def test_median_init_accuracy_under_outliers():
     hits = 0
     for seed in range(100):
         prob = generate_problem(64, 50 * 64, spec, master_seed=7000 + seed)
-        res = median_spectral_init(prob.ensemble, prob.measurements.y)
+        res = median_spectral_init(
+            prob.ensemble, prob.measurements.y, seed=derive_seed(prob.master_seed, TAG_INIT)
+        )
         if relative_error(res.z0, prob.signal) <= 0.37:
             hits += 1
     assert hits >= 95
@@ -259,7 +265,7 @@ def test_median_init_error_shrinks_with_oversampling():
     for seed in range(20):
         ens = sample_ensemble(64, 200 * 64, seed=5000 + seed)
         x = sample_signal(64, seed=6000 + seed)
-        res = median_spectral_init(ens, clean_measurements(ens, x))
+        res = median_spectral_init(ens, clean_measurements(ens, x), seed=0)
         assert relative_error(res.z0, x) <= 0.2
 
 
@@ -267,7 +273,7 @@ def test_median_init_all_zero_measurements_degenerate():
     ens = sample_ensemble(6, 40, seed=50)
     for init in (median_spectral_init, mean_spectral_init):
         with pytest.raises(DegenerateMeasurements):
-            init(ens, np.zeros(40))
+            init(ens, np.zeros(40), seed=0)
 
 
 def test_median_init_deterministic_and_mask_monotone_in_alpha_y():
@@ -275,11 +281,11 @@ def test_median_init_deterministic_and_mask_monotone_in_alpha_y():
     x = sample_signal(8, seed=52)
     y = clean_measurements(ens, x)
     y[::7] *= 50.0  # spread the magnitudes so the mask actually moves
-    a = median_spectral_init(ens, y)
-    b = median_spectral_init(ens, y)
+    a = median_spectral_init(ens, y, seed=0)
+    b = median_spectral_init(ens, y, seed=0)
     np.testing.assert_array_equal(a.z0, b.z0)
     counts = [
-        median_spectral_init(ens, y, alpha_y=al).truncated_count
+        median_spectral_init(ens, y, alpha_y=al, seed=0).truncated_count
         for al in (0.5, 1.0, 2.0, 3.0, 5.0)
     ]
     assert counts == sorted(counts)
@@ -291,7 +297,7 @@ def test_median_init_deterministic_and_mask_monotone_in_alpha_y():
 
 def test_mean_init_examples():
     ens = sample_ensemble(3, 3, seed=53)
-    res = mean_spectral_init(ens, np.ones(3))
+    res = mean_spectral_init(ens, np.ones(3), seed=0)
     assert res.lambda0 == pytest.approx(1.0, rel=1e-12)
 
 
@@ -299,7 +305,7 @@ def test_mean_init_recovers_signal_norm_on_clean_data():
     ens = sample_ensemble(16, 100_000, seed=54)
     x = sample_signal(16, seed=55)
     x *= 2.0 / np.linalg.norm(x)
-    res = mean_spectral_init(ens, clean_measurements(ens, x))
+    res = mean_spectral_init(ens, clean_measurements(ens, x), seed=0)
     assert abs(res.lambda0 - 2.0) <= 0.05 * 2.0
 
 
@@ -307,15 +313,15 @@ def test_single_huge_outlier_breaks_mean_scale_but_not_median_scale():
     ens = sample_ensemble(8, 100, seed=56)
     y = np.ones(100)
     y[0] = 1e9
-    assert mean_spectral_init(ens, y).lambda0 > 1e3
-    lam = median_spectral_init(ens, y).lambda0
+    assert mean_spectral_init(ens, y, seed=0).lambda0 > 1e3
+    lam = median_spectral_init(ens, y, seed=0).lambda0
     assert 0.5 <= lam <= 2.0
 
 
 def test_mean_init_rejects_negative_mean():
     ens = sample_ensemble(2, 2, seed=57)
     with pytest.raises(DegenerateMeasurements):
-        mean_spectral_init(ens, np.array([-3.0, 1.0]))
+        mean_spectral_init(ens, np.array([-3.0, 1.0]), seed=0)
 
 
 @pytest.mark.parametrize("init", [median_spectral_init, mean_spectral_init])
@@ -326,13 +332,21 @@ def test_mean_init_rejects_negative_mean():
 )
 def test_both_inits_reject_malformed_measurements(init, y):
     with pytest.raises(InvalidInputError):
-        init(sample_ensemble(3, 6, seed=60), y)
+        init(sample_ensemble(3, 6, seed=60), y, seed=0)
+
+
+@pytest.mark.parametrize("init", [median_spectral_init, mean_spectral_init])
+def test_both_inits_require_a_seed(init):
+    # No fallback: a caller that omits the seed cannot start Lanczos elsewhere
+    # than the solver does without noticing.
+    with pytest.raises(TypeError):
+        init(sample_ensemble(3, 6, seed=60), np.ones(6))
 
 
 def test_init_result_shape_contract():
     ens = sample_ensemble(5, 60, seed=58)
     x = sample_signal(5, seed=59)
-    res = median_spectral_init(ens, clean_measurements(ens, x))
+    res = median_spectral_init(ens, clean_measurements(ens, x), seed=0)
     assert isinstance(res, InitResult)
     assert res.z0.shape == (5,)
     assert 0 <= res.truncated_count <= 60

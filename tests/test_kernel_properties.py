@@ -88,7 +88,7 @@ def instances(draw, integer_rows=False, signed_y=False):
         y[rng.random(m) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
         negative = rng.random(m) < draw(st.sampled_from([0.05, 0.2]))
         y[negative] = -rng.uniform(0.0, 2.0 * float(x @ x), int(negative.sum()))
-    return SensingEnsemble(rows=rows, seed=0), y, z, rng
+    return SensingEnsemble(rows=rows), y, z, rng
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -111,7 +111,7 @@ def test_row_permutation_keeps_screening(name, instance):
     fn, cfg, _ = KERNELS[name]
     perm = rng.permutation(ensemble.m)
     grad, kept, stat = fn(ensemble, y, z, cfg)
-    permuted = SensingEnsemble(rows=ensemble.rows[perm], seed=0)
+    permuted = SensingEnsemble(rows=ensemble.rows[perm])
     grad_p, kept_p, stat_p = fn(permuted, y[perm], z, cfg)
     assert kept_p == kept
     if name in MEDIAN_VARIANTS:

@@ -119,7 +119,7 @@ def test_sign_flip_fraction_extremes():
 
 
 def test_sign_flip_fraction_strict_inequality():
-    ens = SensingEnsemble(rows=np.array([[1.0, 0.0], [0.0, 1.0]]), seed=0)
+    ens = SensingEnsemble(rows=np.array([[1.0, 0.0], [0.0, 1.0]]))
     # second row is orthogonal to x, so its product is exactly zero
     assert sign_flip_fraction(ens, np.array([1.0, 0.0]), np.array([1.0, 1.0])) == 0.0
 

@@ -93,7 +93,7 @@ def test_ensemble_rejects_zero_dims():
 
 
 def test_clean_measurements_identity_rows():
-    ens = SensingEnsemble(rows=np.eye(2), seed=0)
+    ens = SensingEnsemble(rows=np.eye(2))
     np.testing.assert_array_equal(
         clean_measurements(ens, np.array([3.0, 4.0])), [9.0, 16.0]
     )
@@ -146,6 +146,20 @@ def test_no_corruption_is_identity():
     np.testing.assert_array_equal(ms.y, clean)
     assert ms.outlier_support.size == 0
     np.testing.assert_array_equal(ms.noise, np.zeros(3))
+
+
+@pytest.mark.parametrize("model", list(OutlierModel), ids=lambda m: m.value)
+def test_empty_support_at_positive_fraction_adds_nothing(model):
+    # At seed 3 no index of six is hit at s = 0.2, so the size-0 value draw
+    # must leave y at clean + noise exactly.
+    clean = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    spec = CorruptionSpec(
+        outlier_fraction=0.2, outlier_model=model, eta_max_rel=2.0, w_max_rel=0.5
+    )
+    ms = apply_corruption(clean, spec, x_norm=2.0, seed=3)
+    assert ms.outlier_support.dtype == np.int64 and ms.outlier_support.size == 0
+    assert np.all(ms.noise > 0.0)
+    assert ms.y.tobytes() == (clean + ms.noise).tobytes()
 
 
 def test_bernoulli_support_size_is_binomial():
@@ -204,8 +218,9 @@ def test_integer_uniform_outliers_are_bounded_integers():
 
 def test_relative_magnitudes_require_signal_scale():
     spec = CorruptionSpec(outlier_fraction=0.1, eta_max_rel=1.0)
-    with pytest.raises(InvalidInputError):
-        apply_corruption(np.ones(10), spec, x_norm=0.0, seed=0)
+    for x_norm in (0.0, math.inf):
+        with pytest.raises(InvalidInputError):
+            apply_corruption(np.ones(10), spec, x_norm=x_norm, seed=0)
     with pytest.raises(InvalidInputError):
         apply_corruption(np.array([-1.0]), CorruptionSpec(), x_norm=1.0, seed=0)
 
@@ -224,7 +239,7 @@ def test_poisson_draws_match_reference_pmf(lam):
     """Both sampler branches against the scipy pmf, in total variation."""
     m = 100_000
     rows = np.full((m, 1), math.sqrt(lam))
-    clean = clean_measurements(SensingEnsemble(rows=rows, seed=0), np.ones(1))
+    clean = clean_measurements(SensingEnsemble(rows=rows), np.ones(1))
     ms = apply_corruption(clean, CorruptionSpec(poisson=True), x_norm=1.0, seed=15)
     draws = ms.y.astype(int)
     np.testing.assert_allclose(ms.y, draws)  # integer-valued
