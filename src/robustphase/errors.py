@@ -8,6 +8,7 @@ Three failure classes cover the whole pipeline:
 """
 
 from enum import Enum
+from numbers import Integral
 
 
 class RobustPhaseError(Exception):
@@ -35,3 +36,9 @@ def _parse_choice(kind: type[Enum], value) -> Enum:
             f"{value!r} is not a valid {kind.__name__}; choose from "
             + ", ".join(c.value for c in kind)
         ) from None
+
+
+def _require_count(value, what: str) -> None:
+    """Raise InvalidInputError unless ``value`` is an integer >= 1 (3.0 is not)."""
+    if not isinstance(value, Integral) or value < 1:
+        raise InvalidInputError(f"{what} must be an integer >= 1, got {value!r}")

@@ -55,7 +55,7 @@ def relative_error(z, x) -> float | np.ndarray:
 
 def is_success(outcome_error: float, tol: float = 1e-8) -> bool:
     """Success test, inclusive at the boundary."""
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise InvalidInputError(f"tolerance must be positive, got {tol}")
     return outcome_error <= tol
 

@@ -153,7 +153,7 @@ def product_gaussian_cdf(theta: float, rho: float) -> float:
     """
     if not -1.0 <= rho <= 1.0:
         raise InvalidInputError(f"correlation must lie in [-1, 1], got {rho}")
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise InvalidInputError(f"CDF argument must be positive, got {theta}")
     # scipy is imported inside the oracles: it costs most of the package's
     # import time and memory, and no solver or experiment uses it.
@@ -197,7 +197,7 @@ def product_gaussian_median(rho: float, tol: float = 1e-6) -> float:
     """
     if not -1.0 <= rho <= 1.0:
         raise InvalidInputError(f"correlation must lie in [-1, 1], got {rho}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise InvalidInputError(f"tolerance must be positive, got {tol}")
     lo, hi = 1e-4, 2.0
     flo = product_gaussian_cdf(lo, rho) - 0.5

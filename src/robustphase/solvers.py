@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, _parse_choice
+from .errors import InvalidInputError, _parse_choice, _require_count
 from .metrics import _norm, relative_error
 from .model import TAG_INIT, ProblemInstance, SensingEnsemble, derive_seed
 from .quantile import _rank, sample_median
@@ -104,11 +104,11 @@ class SolverConfig:
             raise InvalidInputError(
                 f"need 0 < alpha_l <= alpha_u, got ({self.alpha_l}, {self.alpha_u})"
             )
-        if self.alpha_h <= 0.0 or self.alpha_h_prime <= 0.0 or self.alpha_y <= 0.0:
+        # Written as "not x > 0" so that NaN fails too.
+        if not (self.alpha_h > 0.0 and self.alpha_h_prime > 0.0 and self.alpha_y > 0.0):
             raise InvalidInputError("truncation thresholds must be positive")
-        if self.max_iters < 1:
-            raise InvalidInputError(f"iteration budget must be >= 1, got {self.max_iters}")
-        if self.success_tol <= 0.0:
+        _require_count(self.max_iters, "iteration budget")
+        if not self.success_tol > 0.0:
             raise InvalidInputError(f"success tolerance must be positive, got {self.success_tol}")
         if self.known_s is not None and not 0.0 <= self.known_s < 0.5:
             raise InvalidInputError(f"known_s must lie in [0, 0.5), got {self.known_s}")

@@ -105,7 +105,7 @@ def leading_eigenvector(
     Returns:
         (unit vector, operator applications, converged flag).
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise InvalidInputError(f"tolerance must be positive, got {tol}")
     if n < 1 or max_iters < 1:
         raise InvalidInputError("n and max_iters must be >= 1")
@@ -151,7 +151,7 @@ def _spectral_init(
     alpha_y: float,
     seed: int,
 ) -> InitResult:
-    if alpha_y <= 0.0:
+    if not alpha_y > 0.0:
         raise InvalidInputError(f"alpha_y must be positive, got {alpha_y}")
     y = np.asarray(y, dtype=float)
     if y.shape != (ensemble.m,) or not np.isfinite(y).all():

@@ -180,6 +180,9 @@ def _cfg(**overrides):
         dict(master_seed=-1),
         dict(algorithms=("median-twf", "median-twf")),
         dict(algorithms=("twf", Algorithm.MEAN_TWF)),  # one algorithm, two spellings
+        dict(trials=2.5),  # counts must be integers
+        dict(threads=2.0),
+        dict(max_iters=3.5),
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -439,7 +442,7 @@ def test_pool_never_starts_more_workers_than_tasks(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr("robustphase.harness.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     cfg = ExperimentConfig(
         experiment="single", n_values=(8,), m_values=(24,), m_over_n=None,
         trials=3, threads=64, max_iters=2,
@@ -448,6 +451,22 @@ def test_pool_never_starts_more_workers_than_tasks(monkeypatch):
     assert started == [3]
     assert rows == run_experiment(replace(cfg, threads=1))
     assert started == [3]  # one thread runs in-process
+
+
+def test_harness_import_leaves_the_process_pool_unloaded():
+    # A fresh interpreter: pytest itself may have loaded the pool already.
+    # Only a multi-process run pays for concurrent.futures.process.
+    package_root = str(Path(robustphase.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, robustphase.harness; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # -------------------------------------------------------------- CSV output

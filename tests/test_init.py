@@ -175,6 +175,8 @@ def test_power_iteration_rejects_bad_arguments():
     with pytest.raises(InvalidInputError):
         leading_eigenvector(lambda u: u, 3, tol=0.0)
     with pytest.raises(InvalidInputError):
+        leading_eigenvector(lambda u: u, 3, tol=float("nan"))
+    with pytest.raises(InvalidInputError):
         leading_eigenvector(lambda u: u, 0)
     with pytest.raises(InvalidInputError):
         leading_eigenvector(lambda u: u, 3, max_iters=0)
@@ -333,6 +335,14 @@ def test_mean_init_rejects_negative_mean():
 def test_both_inits_reject_malformed_measurements(init, y):
     with pytest.raises(InvalidInputError):
         init(sample_ensemble(3, 6, seed=60), y, seed=0)
+
+
+@pytest.mark.parametrize("init", [median_spectral_init, mean_spectral_init])
+@pytest.mark.parametrize("alpha_y", [0.0, -1.0, float("nan")])
+def test_both_inits_reject_non_positive_alpha_y(init, alpha_y):
+    # A NaN alpha_y would keep no sample and still report convergence.
+    with pytest.raises(InvalidInputError):
+        init(sample_ensemble(3, 6, seed=60), np.ones(6), alpha_y=alpha_y, seed=0)
 
 
 @pytest.mark.parametrize("init", [median_spectral_init, mean_spectral_init])

@@ -15,7 +15,9 @@ truncation argument relies on:
 * oracle: (gradient, kept count, statistic) equal bit for bit those of a
   reference copy of the kernel as first written, with its all-ones and
   all-zeros buffers and fancy-index gathers and scatters, on measurements
-  that include zero and negative entries.
+  that include zero and negative entries;
+* placement: the matvecs and the median kernels give the same bits whatever
+  byte offset from a cache line the rows start at.
 """
 
 import math
@@ -29,8 +31,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from robustphase import (  # noqa: E402
     Algorithm,
+    CorruptionSpec,
     SensingEnsemble,
     SolverConfig,
+    generate_problem,
     mrwf_gradient,
     mtwf_gradient,
     rwf_gradient,
@@ -218,3 +222,38 @@ def test_kernel_matches_reference_bit_for_bit(name, instance):
     assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
     assert kept == ref_kept
     assert np.float64(stat).tobytes() == np.float64(ref_stat).tobytes()
+
+
+def _at_byte_offset(rows, offset):
+    """A copy of ``rows`` whose first byte sits ``offset`` bytes past a 64-byte line."""
+    buf = np.empty(rows.size + 16)
+    start = -buf.ctypes.data % 64 // 8 + offset // 8
+    copy = buf[start : start + rows.size].reshape(rows.shape)
+    copy[...] = rows
+    assert copy.ctypes.data % 64 == offset
+    return copy
+
+
+@pytest.mark.parametrize("m, n", [(512, 64), (1024, 128), (2048, 512)])
+def test_row_placement_never_changes_a_products_bits(m, n):
+    # The golden hashes and criterion 8 rest on this: rows built by hand, or
+    # copied, can start anywhere, and BLAS may take another path off a line.
+    spec = CorruptionSpec(outlier_fraction=0.1, eta_max_rel=5.0)
+    problem = generate_problem(n, m, spec, 7)
+    rows, y = problem.ensemble.rows, problem.measurements.y
+    rng = np.random.default_rng(7)
+    z = problem.signal + 0.3 * rng.standard_normal(n)
+    c = rng.standard_normal(m)
+
+    def products(r):
+        ensemble = SensingEnsemble(rows=r)
+        out = [(r @ z).tobytes(), (r.T @ c).tobytes()]
+        for name, fn in (("median-twf", mtwf_gradient), ("median-rwf", mrwf_gradient)):
+            grad, kept, stat = fn(ensemble, y, z, KERNELS[name][1])
+            out.append((grad.tobytes(), kept, np.float64(stat).tobytes()))
+        return out
+
+    assert rows.ctypes.data % 64 == 0
+    want = products(rows)
+    for offset in range(8, 64, 8):
+        assert products(_at_byte_offset(rows, offset)) == want, f"offset {offset}"

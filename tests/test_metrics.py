@@ -105,6 +105,8 @@ def test_is_success_boundary_inclusive():
     assert is_success(1e-8, 1e-6)
     with pytest.raises(InvalidInputError):
         is_success(0.1, 0.0)
+    with pytest.raises(InvalidInputError):
+        is_success(1e-12, float("nan"))
 
 
 def test_sign_flip_fraction_extremes():

@@ -69,6 +69,25 @@ def test_ensemble_deterministic_per_seed():
     assert a.m == 3 and a.n == 2
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (7, 3), (512, 64), (1024, 128), (4096, 512)])
+def test_ensemble_rows_start_on_a_cache_line(m, n):
+    # Aligned rows speed up both matvecs; the values stay those of one
+    # standard_normal((m, n)) draw from the ensemble's Philox stream.
+    seed = 17
+    for rows, stream_seed in (
+        (sample_ensemble(n, m, seed).rows, seed),
+        (generate_problem(n, m, CorruptionSpec(), seed).ensemble.rows,
+         derive_seed(seed, TAG_ENSEMBLE)),
+    ):
+        assert rows.ctypes.data % 64 == 0
+        assert rows.flags.c_contiguous and rows.flags.writeable
+        assert rows.dtype == np.float64 and rows.shape == (m, n)
+        want = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(stream_seed))
+        ).standard_normal((m, n))
+        assert rows.tobytes() == want.tobytes()
+
+
 def test_ensemble_spectral_norm_near_marchenko_pastur_edge():
     ens = sample_ensemble(100, 2000, seed=5)
     norm = float(np.linalg.norm(ens.rows, 2))

@@ -209,6 +209,8 @@ def test_density_rejects_bad_arguments():
         product_gaussian_cdf(1.0, -2.0)
     with pytest.raises(InvalidInputError):
         product_gaussian_cdf(0.0, 0.0)
+    with pytest.raises(InvalidInputError):
+        product_gaussian_cdf(float("nan"), 0.0)
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 1.0])
@@ -256,6 +258,8 @@ def test_median_rejects_bad_arguments():
         product_gaussian_median(1.2)
     with pytest.raises(InvalidInputError):
         product_gaussian_median(0.5, tol=0.0)
+    with pytest.raises(InvalidInputError):
+        product_gaussian_median(0.5, tol=float("nan"))
 
 
 # ------------------------------------------------------ chi-square quantile

@@ -71,6 +71,15 @@ def test_config_validation():
         SolverConfig(algorithm=Algorithm.MEDIAN_TWF, max_iters=0)
     with pytest.raises(InvalidInputError):
         SolverConfig(algorithm=Algorithm.MEDIAN_TWF, success_tol=0.0)
+    # NaN fails every "must be positive" check, and a count must be integral:
+    # a fractional fixed-T budget would never meet t == max_iters.
+    nan = float("nan")
+    for bad in (
+        dict(alpha_h=nan), dict(alpha_h_prime=nan), dict(alpha_y=nan),
+        dict(success_tol=nan), dict(max_iters=3.5), dict(max_iters=3.0),
+    ):
+        with pytest.raises(InvalidInputError):
+            SolverConfig(algorithm=Algorithm.MEAN_TWF, fixed_iterations=True, **bad)
     with pytest.raises(InvalidInputError):
         SolverConfig(algorithm=Algorithm.TRIMEAN_TWF)  # needs known_s
     with pytest.raises(InvalidInputError):
