@@ -163,43 +163,11 @@ class MeasurementSet:
     noise: np.ndarray            # the dense-noise vector w
 
 
-def _poisson_single(rng: np.random.Generator, mean: float) -> int:
-    # Sequential-search inversion below 30, Hormann's PTRS transformed
-    # rejection above; both consume only uniforms, so draws reproduce
-    # across platforms for a fixed generator.
-    if mean == 0.0:
-        return 0
-    if mean < 30.0:
-        x = 0
-        p = math.exp(-mean)
-        s = p
-        u = rng.random()
-        while u > s:
-            x += 1
-            p *= mean / x
-            s += p
-        return x
-    b = 0.931 + 2.53 * math.sqrt(mean)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    while True:
-        u = rng.random() - 0.5
-        v = rng.random()
-        us = 0.5 - abs(u)
-        k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
-        if us >= 0.07 and v <= v_r:
-            return int(k)
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        if math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b) <= (
-            k * math.log(mean) - mean - math.lgamma(k + 1.0)
-        ):
-            return int(k)
-
-
 def _poisson_draws(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
-    return np.array([_poisson_single(rng, float(mu)) for mu in means], dtype=float)
+    try:
+        return rng.poisson(means).astype(float)
+    except ValueError as exc:  # numpy refuses means near the int64 range
+        raise InvalidInputError(f"Poisson mean {means.max():.6g} is too large to sample") from exc
 
 
 def apply_corruption(
@@ -223,8 +191,9 @@ def apply_corruption(
         clean + noise + (outliers scattered on the support), exactly.
 
     Raises:
-        InvalidInputError: negative clean entries, or an x_norm that is not
-            finite and positive when relative magnitudes are required.
+        InvalidInputError: negative clean entries, a Poisson mean too large
+            to sample, or an x_norm that is not finite and positive when
+            relative magnitudes are required.
     """
     clean = np.asarray(clean, dtype=float)
     if clean.ndim != 1 or clean.size == 0:

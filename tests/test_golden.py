@@ -58,7 +58,7 @@ GOLDEN = {
     "poisson": (
         ["poisson", "--n", "16", "--m-over-n", "8", "--trials", "2",
          "--algos", ALGOS, "--s", "0.1", "--max-iters", "40"],
-        "bb297aed534590b5afe55808d2aad88f02190d20f8cb90ebe39f3f1df3cb116b",
+        "1222147a176f24861eb0964c539d326bbdfeaf7b2be37b1798884dee6c2772d8",
     ),
     "sweep-replay": (
         ["outlier-sweep", "--n", "64", "--m-over-n", "8", "--s", "0.1",
