@@ -25,6 +25,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 from .errors import InvalidInputError, RobustPhaseError, _parse_choice, _require_count
@@ -94,17 +95,18 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown experiment {self.experiment!r}")
         _require_count(self.trials, "trials")
         _require_count(self.threads, "threads")
-        if self.master_seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.master_seed}")
+        if not isinstance(self.master_seed, Integral) or self.master_seed < 0:
+            raise InvalidInputError(f"seed must be an integer >= 0, got {self.master_seed!r}")
         _require_count(self.max_iters, "max_iters")
         if not 0.0 < self.tol < math.inf:
             raise InvalidInputError(f"tol must be finite and positive, got {self.tol}")
-        if min(self.n_values, default=0) < 1:
-            raise InvalidInputError("n grid must be nonempty with n >= 1")
         if (self.m_values is None) == (self.m_over_n is None):
             raise InvalidInputError("exactly one of an m grid and an m/n grid is required")
-        if self.m_values is not None and min(self.m_values, default=0) < 1:
-            raise InvalidInputError("m grid must be nonempty with m >= 1")
+        if not self.n_values or (self.m_values is not None and not self.m_values):
+            raise InvalidInputError("n and m grids must be nonempty")
+        for what, grid in (("n", self.n_values), ("m", self.m_values or ())):
+            for count in grid:
+                _require_count(count, what)
         ratios = self.m_over_n
         if ratios is not None and not (ratios and all(0.0 < r < math.inf for r in ratios)):
             raise InvalidInputError("m/n grid must be nonempty with finite, positive ratios")
@@ -152,14 +154,6 @@ RESULT_HEADER = ",".join(f.name for f in fields(ResultRow))
 ITERATION_HEADER = "experiment,algorithm,n,m,seed,t,rel_err,kept,median_stat"
 
 
-@dataclass(frozen=True)
-class _Task:
-    cell: TrialCell
-    algorithm: Algorithm
-    trial_seed: int
-    cfg: ExperimentConfig
-
-
 _Cells = list[tuple[TrialCell, tuple[Algorithm, ...]]]  # (cell, its algorithms)
 
 
@@ -174,30 +168,16 @@ def _pair_dims(cfg: ExperimentConfig) -> list[tuple[int, int]]:
 
 
 def run_trial(
-    cell: TrialCell,
-    algorithm: Algorithm,
-    trial_seed: int,
-    fixed_T: bool = True,
-    max_iters: int = 500,
-    tol: float = 1e-8,
-    timing: bool = False,
+    cell: TrialCell, cfg: SolverConfig, trial_seed: int, timing: bool = False
 ) -> tuple[ResultRow, IterateTrace | None]:
     """Run one seeded trial; a package error becomes a failed row, not a crash."""
     start = time.perf_counter()
-    trace: IterateTrace | None = None
     try:
-        cfg = SolverConfig(
-            algorithm=algorithm,
-            max_iters=max_iters,
-            success_tol=tol,
-            fixed_iterations=fixed_T,
-            known_s=cell.corruption.outlier_fraction,  # only trimean-twf reads known_s
-        )
         problem = generate_problem(cell.n, cell.m, cell.corruption, trial_seed)
         trace = run_solver(problem, cfg)
         final_err = trace.final_error
         iterations = trace.iterations
-        success = int(is_success(final_err, tol))
+        success = int(is_success(final_err, cfg.success_tol))
     except RobustPhaseError:  # a bug elsewhere propagates instead of becoming a row
         final_err = float("nan")
         iterations = 0
@@ -206,7 +186,7 @@ def run_trial(
     wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
     row = ResultRow(
         experiment=cell.experiment_id,
-        algorithm=algorithm.value,
+        algorithm=cfg.algorithm.value,
         n=cell.n,
         m=cell.m,
         s=cell.corruption.outlier_fraction,
@@ -224,22 +204,14 @@ def run_trial(
 _Trial = tuple[ResultRow, IterateTrace | None]  # a per-iteration experiment's result
 
 
-def _run_task(task: _Task) -> ResultRow | _Trial:
-    cfg = task.cfg
-    row, trace = run_trial(
-        task.cell,
-        task.algorithm,
-        task.trial_seed,
-        fixed_T=cfg.fixed_T,
-        max_iters=cfg.max_iters,
-        tol=cfg.tol,
-        timing=cfg.timing,
-    )
+def _run_task(task: tuple[TrialCell, SolverConfig, int, bool, bool]) -> ResultRow | _Trial:
+    cell, cfg, trial_seed, timing, per_iteration = task
+    row, trace = run_trial(cell, cfg, trial_seed, timing)
     # A per-iteration trial ships its trace's arrays, not one object per row.
-    return (row, trace) if EXPERIMENTS[cfg.experiment].per_iteration else row
+    return (row, trace) if per_iteration else row
 
 
-def _execute(tasks: list[_Task], threads: int) -> list:
+def _execute(tasks: list[tuple], threads: int) -> list:
     # executor.map preserves input order, so results are already in the
     # canonical (cell, algorithm, trial) order regardless of scheduling.
     if threads <= 1 or len(tasks) <= 1:
@@ -264,17 +236,22 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow] | list[_Trial]:
     trial.  ``write_result_csv`` and ``write_iteration_csv`` write them.
     """
     exp = EXPERIMENTS[cfg.experiment]
-    tasks = [
-        _Task(
-            cell,
-            algorithm,
-            derive_seed(cfg.master_seed, exp.code, cell_index, ALGORITHM_CODES[algorithm], trial),
-            cfg,
-        )
-        for cell_index, (cell, algorithms) in enumerate(exp.cells(cfg))
-        for algorithm in algorithms
-        for trial in range(cfg.trials)
-    ]
+    tasks = []
+    for cell_index, (cell, algorithms) in enumerate(exp.cells(cfg)):
+        for algorithm in algorithms:
+            solver = SolverConfig(  # one object, validated once, for all of its trials
+                algorithm=algorithm,
+                max_iters=cfg.max_iters,
+                success_tol=cfg.tol,
+                fixed_iterations=cfg.fixed_T,
+                known_s=cell.corruption.outlier_fraction,  # only trimean-twf reads known_s
+            )
+            code = ALGORITHM_CODES[algorithm]
+            tasks.extend(
+                (cell, solver, derive_seed(cfg.master_seed, exp.code, cell_index, code, trial),
+                 cfg.timing, exp.per_iteration)
+                for trial in range(cfg.trials)
+            )
     return _execute(tasks, cfg.threads)
 
 

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMeasurements, InvalidInputError, NumericalFailure
+from .errors import DegenerateMeasurements, InvalidInputError, NumericalFailure, _require_count
 from .model import SensingEnsemble, _rng
 from .quantile import sample_median
 
@@ -107,8 +107,8 @@ def leading_eigenvector(
     """
     if not tol > 0.0:
         raise InvalidInputError(f"tolerance must be positive, got {tol}")
-    if n < 1 or max_iters < 1:
-        raise InvalidInputError("n and max_iters must be >= 1")
+    _require_count(n, "n")
+    _require_count(max_iters, "max_iters")
     v = _rng(seed).standard_normal(n)
     basis = np.empty((min(max_iters, n), n))
     basis[0] = v / np.linalg.norm(v)

@@ -119,8 +119,8 @@ def test_criterion_4_linear_convergence_of_successful_trials():
         for algo in FOUR:
             for trial in range(5):
                 row, trace = run_trial(
-                    TrialCell("conv", 128, 768, CorruptionSpec()), algo,
-                    90000 + trial, fixed_T=True, max_iters=500,
+                    TrialCell("conv", 128, 768, CorruptionSpec()),
+                    SolverConfig(algo, max_iters=500, fixed_iterations=True), 90000 + trial,
                 )
                 if row.success != 1:
                     continue
@@ -198,8 +198,9 @@ def _check_contamination_sandwich():
 
 
 def _check_gradients_against_finite_differences():
-    for family in ("median", "mean", "amplitude"):
-        rng = np.random.Generator(np.random.Philox(key=hash(family) % (2**31)))
+    # Literal keys: hash() of a str is salted per interpreter.
+    for family, key in (("median", 71), ("mean", 72), ("amplitude", 73)):
+        rng = np.random.Generator(np.random.Philox(key=key))
         checked = 0
         while checked < 100:
             n = int(rng.integers(3, 11))

@@ -27,6 +27,7 @@ from robustphase import (
     InvalidInputError,
     IterateTrace,
     OutlierModel,
+    SolverConfig,
     derive_seed,
 )
 from robustphase.harness import (
@@ -47,6 +48,7 @@ from robustphase.harness import (
 )
 
 CLEAN = CorruptionSpec()
+FIXED_MTWF = SolverConfig(Algorithm.MEDIAN_TWF, fixed_iterations=True)
 
 
 def success_counts(rows, key=lambda r: r.algorithm):
@@ -70,7 +72,7 @@ def final_errors(trials):
 
 def test_run_trial_noise_free_mrwf_succeeds():
     row, trace = run_trial(
-        TrialCell("single", 64, 384, CLEAN), Algorithm.MEDIAN_RWF, 12345, fixed_T=False
+        TrialCell("single", 64, 384, CLEAN), SolverConfig(Algorithm.MEDIAN_RWF), 12345
     )
     assert row.success == 1
     assert row.final_rel_err <= 1e-8
@@ -87,9 +89,7 @@ def test_run_trial_mean_twf_fails_under_outliers():
         outlier_model=OutlierModel.UNIFORM,
         eta_max_rel=1.0,
     )
-    row, _ = run_trial(
-        TrialCell("single", 64, 512, spec), Algorithm.MEAN_TWF, 12345, fixed_T=False
-    )
+    row, _ = run_trial(TrialCell("single", 64, 512, spec), SolverConfig(Algorithm.MEAN_TWF), 12345)
     assert row.success == 0
     assert row.final_rel_err > 1e-4
     assert row.s == 0.3 and row.eta_max_rel == 1.0
@@ -97,15 +97,15 @@ def test_run_trial_mean_twf_fails_under_outliers():
 
 def test_run_trial_same_inputs_identical_rows():
     cell = TrialCell("single", 32, 160, CLEAN)
-    row1, trace1 = run_trial(cell, Algorithm.MEDIAN_TWF, 77, fixed_T=False)
-    row2, trace2 = run_trial(cell, Algorithm.MEDIAN_TWF, 77, fixed_T=False)
+    row1, trace1 = run_trial(cell, SolverConfig(Algorithm.MEDIAN_TWF), 77)
+    row2, trace2 = run_trial(cell, SolverConfig(Algorithm.MEDIAN_TWF), 77)
     assert row1 == row2
     np.testing.assert_array_equal(trace1.errors, trace2.errors)
 
 
 def test_run_trial_records_failures_as_rows():
     # n=0 makes problem generation raise; the sweep must get a row anyway
-    row, trace = run_trial(TrialCell("single", 0, 10, CLEAN), Algorithm.MEDIAN_TWF, 5)
+    row, trace = run_trial(TrialCell("single", 0, 10, CLEAN), FIXED_MTWF, 5)
     assert row.success == 0
     assert row.iterations == 0
     assert math.isnan(row.final_rel_err)
@@ -115,9 +115,7 @@ def test_run_trial_records_failures_as_rows():
 def test_run_trial_zero_scale_estimate_is_a_failed_row():
     # At m=3 the Poisson counts are often all zero: the init has no scale
     # to screen with, which fails the trial like any other degenerate input
-    row, trace = run_trial(
-        TrialCell("single", 1, 3, CorruptionSpec(poisson=True)), Algorithm.MEDIAN_TWF, 0
-    )
+    row, trace = run_trial(TrialCell("single", 1, 3, CorruptionSpec(poisson=True)), FIXED_MTWF, 0)
     assert math.isnan(row.final_rel_err)
     assert (row.iterations, row.success) == (0, 0)
     assert trace is None
@@ -125,17 +123,37 @@ def test_run_trial_zero_scale_estimate_is_a_failed_row():
 
 def test_run_trial_wall_time_opt_in():
     cell = TrialCell("single", 16, 48, CLEAN)
-    row, _ = run_trial(cell, Algorithm.MEDIAN_TWF, 5, max_iters=5)
+    short = SolverConfig(Algorithm.MEDIAN_TWF, max_iters=5, fixed_iterations=True)
+    row, _ = run_trial(cell, short, 5)
     assert row.wall_time_ms == 0.0
-    timed, _ = run_trial(cell, Algorithm.MEDIAN_TWF, 5, max_iters=5, timing=True)
+    timed, _ = run_trial(cell, short, 5, timing=True)
     assert timed.wall_time_ms > 0.0
 
 
-def test_run_trial_fills_trimean_fraction_from_cell():
-    row, _ = run_trial(
-        TrialCell("single", 64, 384, CLEAN), Algorithm.TRIMEAN_TWF, 12345, fixed_T=False
+def test_run_experiment_gives_each_cell_and_algorithm_one_solver_config(monkeypatch):
+    received = []
+
+    def record(cell, solver, trial_seed, timing=False):
+        received.append((cell, solver, timing))
+        return run_trial(cell, solver, trial_seed, timing)
+
+    monkeypatch.setattr("robustphase.harness.run_trial", record)
+    cfg = ExperimentConfig(
+        experiment="outlier_sweep", n_values=(64,), m_values=(384,), m_over_n=None,
+        trials=2, algorithms=(Algorithm.MEDIAN_TWF, Algorithm.TRIMEAN_TWF),
+        s_values=(0.0, 0.1), eta_values=(1.0,), fixed_T=False,
     )
-    assert row.success == 1
+    rows = run_experiment(cfg)
+    solvers = defaultdict(list)
+    for cell, solver, timing in received:
+        solvers[(cell.corruption.outlier_fraction, solver.algorithm)].append(solver)
+        assert solver.known_s == cell.corruption.outlier_fraction  # trimean-twf reads it
+        settings = (solver.max_iters, solver.success_tol, solver.fixed_iterations, timing)
+        assert settings == (500, 1e-8, False, False)
+    assert len(solvers) == 4
+    assert all(len(trials) == 2 and trials[0] is trials[1] for trials in solvers.values())
+    # told its clean cell's fraction (0), trimean-twf recovers the signal
+    assert [r.success for r in rows if r.algorithm == "trimean-twf" and r.s == 0.0] == [1, 1]
 
 
 # --------------------------------------------------------- config validation
@@ -183,6 +201,9 @@ def _cfg(**overrides):
         dict(trials=2.5),  # counts must be integers
         dict(threads=2.0),
         dict(max_iters=3.5),
+        dict(n_values=(8.5,)),  # grid values and the seed must be integers too
+        dict(m_values=(48.0,)),
+        dict(master_seed=2.7),
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -713,13 +734,13 @@ CLI_DEFAULTS = {
 def test_cli_subcommand_defaults(name, tmp_path, monkeypatch):
     calls = []
 
-    def record(cell, algorithm, trial_seed, fixed_T=True, max_iters=500, tol=1e-8,
-               timing=False):
+    def record(cell, cfg, trial_seed, timing=False):
         c = cell.corruption
         key = (cell.experiment_id, cell.n, cell.m, c.outlier_fraction, c.eta_max_rel,
                c.w_max_rel)
-        calls.append((key, algorithm.value, (fixed_T, max_iters, tol, timing)))
-        row = ResultRow(cell.experiment_id, algorithm.value, cell.n, cell.m,
+        settings = (cfg.fixed_iterations, cfg.max_iters, cfg.success_tol, timing)
+        calls.append((key, cfg.algorithm.value, settings))
+        row = ResultRow(cell.experiment_id, cfg.algorithm.value, cell.n, cell.m,
                         c.outlier_fraction, c.eta_max_rel, c.w_max_rel, trial_seed,
                         0, 0.0, 0, 0.0)
         return row, None
@@ -766,26 +787,6 @@ def test_cli_programming_error_is_runtime_failure_not_a_failed_row(
     assert code == 1
     assert "runtime failure: bug in the solver" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_cli_repeated_runs_byte_identical(tmp_path):
-    args = ["single", "--n", "32", "--m", "192", "--trials", "3",
-            "--algos", "median-twf,median-rwf", "--seed", "3",
-            "--max-iters", "60", "--no-fixed-T"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli_main(args + ["--out", str(a)]) == 0
-    assert cli_main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_cli_thread_count_does_not_change_output(tmp_path):
-    args = ["single", "--n", "32", "--m", "192", "--trials", "4",
-            "--algos", "median-twf,median-rwf", "--seed", "3",
-            "--max-iters", "80", "--no-fixed-T"]
-    a, b = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    assert cli_main(args + ["--threads", "1", "--out", str(a)]) == 0
-    assert cli_main(args + ["--threads", "2", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_console_script_entry_point(tmp_path):

@@ -1,5 +1,6 @@
 """Spectral initialization: scale estimates, the matrix-free surrogate,
-power iteration, and the robustness gap between median and mean scaling."""
+the Lanczos eigensolver, and the robustness gap between median and mean
+scaling."""
 
 import math
 
@@ -100,10 +101,10 @@ def test_surrogate_matches_materialized_matrix():
         assert float(np.linalg.norm(got - want)) / scale <= 1e-10
 
 
-# ------------------------------------------------------------ power iteration
+# -------------------------------------------------------------------- Lanczos
 
 
-def test_power_iteration_diagonal_gap():
+def test_lanczos_diagonal_gap():
     mat = np.diag([3.0, 1.0])
     v, iters, converged = leading_eigenvector(lambda u: mat @ u, 2)
     assert converged
@@ -111,13 +112,13 @@ def test_power_iteration_diagonal_gap():
     assert abs(v[1]) < 1e-5
 
 
-def test_power_iteration_identity_converges_immediately():
+def test_lanczos_identity_converges_immediately():
     v, iters, converged = leading_eigenvector(lambda u: u, 5)
     assert converged and iters == 1
     assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_power_iteration_rank_one():
+def test_lanczos_rank_one():
     x = sample_signal(8, seed=49)
     x /= np.linalg.norm(x)
     v, iters, converged = leading_eigenvector(lambda u: x * float(x @ u), 8)
@@ -125,13 +126,13 @@ def test_power_iteration_rank_one():
     assert min(np.linalg.norm(v - x), np.linalg.norm(v + x)) < 1e-6
 
 
-def test_power_iteration_zero_operator_flagged_converged():
+def test_lanczos_zero_operator_flagged_converged():
     v, iters, converged = leading_eigenvector(lambda u: np.zeros_like(u), 3)
     assert converged
     assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_power_iteration_budget_exhaustion_is_nonfatal():
+def test_lanczos_budget_exhaustion_is_nonfatal():
     mat = np.diag([3.0, 1.0])
     v, iters, converged = leading_eigenvector(
         lambda u: mat @ u, 2, tol=1e-12, max_iters=1
@@ -140,7 +141,7 @@ def test_power_iteration_budget_exhaustion_is_nonfatal():
     assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_power_iteration_budget_is_max_iters_capped_at_n():
+def test_lanczos_budget_is_max_iters_capped_at_n():
     # Eigenvalues evenly spread over [1, 2] take more than 40 applies (59 here).
     d = np.linspace(1.0, 2.0, 200)
     _, iters, converged = leading_eigenvector(lambda u: d * u, 200)
@@ -153,7 +154,7 @@ def test_power_iteration_budget_is_max_iters_capped_at_n():
     assert iters == 5
 
 
-def test_power_iteration_rejects_non_finite_operator_output():
+def test_lanczos_rejects_non_finite_operator_output():
     with pytest.raises(NumericalFailure):
         leading_eigenvector(lambda u: np.full_like(u, np.inf), 3)
     with pytest.raises(NumericalFailure):
@@ -171,7 +172,7 @@ def test_mean_init_overflow_raises_instead_of_zero_direction():
         mean_spectral_init(ens, y, seed=0)
 
 
-def test_power_iteration_rejects_bad_arguments():
+def test_lanczos_rejects_bad_arguments():
     with pytest.raises(InvalidInputError):
         leading_eigenvector(lambda u: u, 3, tol=0.0)
     with pytest.raises(InvalidInputError):
@@ -180,6 +181,10 @@ def test_power_iteration_rejects_bad_arguments():
         leading_eigenvector(lambda u: u, 0)
     with pytest.raises(InvalidInputError):
         leading_eigenvector(lambda u: u, 3, max_iters=0)
+    with pytest.raises(InvalidInputError):
+        leading_eigenvector(lambda u: u, 3, max_iters=2.5)
+    with pytest.raises(InvalidInputError):
+        leading_eigenvector(lambda u: u, 3.0)
 
 
 # ------------------------------------------------------------ eigensolver
