@@ -42,3 +42,10 @@ def _require_count(value, what: str) -> None:
     """Raise InvalidInputError unless ``value`` is an integer >= 1 (3.0 is not)."""
     if not isinstance(value, Integral) or value < 1:
         raise InvalidInputError(f"{what} must be an integer >= 1, got {value!r}")
+
+
+def _require_seed(*values) -> None:
+    """Raise InvalidInputError unless every value is an integer >= 0 (1.5 is not)."""
+    for value in values:
+        if not isinstance(value, Integral) or value < 0:
+            raise InvalidInputError(f"seed must be an integer >= 0, got {value!r}")

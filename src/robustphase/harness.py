@@ -25,10 +25,10 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields
-from numbers import Integral
 from typing import Callable, NamedTuple
 
-from .errors import InvalidInputError, RobustPhaseError, _parse_choice, _require_count
+from .errors import InvalidInputError, RobustPhaseError, _parse_choice
+from .errors import _require_count, _require_seed
 from .metrics import is_success
 from .model import CorruptionSpec, OutlierModel, derive_seed, generate_problem
 from .solvers import Algorithm, IterateTrace, SolverConfig, run_solver
@@ -95,8 +95,7 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown experiment {self.experiment!r}")
         _require_count(self.trials, "trials")
         _require_count(self.threads, "threads")
-        if not isinstance(self.master_seed, Integral) or self.master_seed < 0:
-            raise InvalidInputError(f"seed must be an integer >= 0, got {self.master_seed!r}")
+        _require_seed(self.master_seed)
         _require_count(self.max_iters, "max_iters")
         if not 0.0 < self.tol < math.inf:
             raise InvalidInputError(f"tol must be finite and positive, got {self.tol}")

@@ -55,8 +55,8 @@ def relative_error(z, x) -> float | np.ndarray:
 
 def is_success(outcome_error: float, tol: float = 1e-8) -> bool:
     """Success test, inclusive at the boundary."""
-    if not tol > 0.0:
-        raise InvalidInputError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise InvalidInputError(f"tolerance must be finite and positive, got {tol}")
     return outcome_error <= tol
 
 

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, _parse_choice
+from .errors import InvalidInputError, _parse_choice, _require_count, _require_seed
 
 __all__ = [
     "TAG_SIGNAL",
@@ -59,20 +59,21 @@ def derive_seed(*components: int) -> int:
 
     The hash is ``numpy.random.SeedSequence`` over the component tuple, so
     the derivation is stable across platforms and independent of call order
-    elsewhere in the program.
+    elsewhere in the program.  Every component must be an integer >= 0.
     """
+    _require_seed(*components)
     ss = np.random.SeedSequence(tuple(int(c) for c in components))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _rng(seed: int) -> np.random.Generator:
+    _require_seed(seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
 def sample_signal(n: int, seed: int) -> np.ndarray:
     """Planted signal: n i.i.d. standard normal entries."""
-    if n < 1:
-        raise InvalidInputError(f"signal dimension must be >= 1, got {n}")
+    _require_count(n, "signal dimension")
     return _rng(seed).standard_normal(n)
 
 
@@ -100,8 +101,8 @@ def sample_ensemble(n: int, m: int, seed: int) -> SensingEnsemble:
     bits at every offset.  Filling through ``out=`` draws the same values
     as ``standard_normal((m, n))``.
     """
-    if n < 1 or m < 1:
-        raise InvalidInputError(f"ensemble dimensions must be >= 1, got n={n} m={m}")
+    _require_count(n, "ensemble dimension n")
+    _require_count(m, "ensemble dimension m")
     buf = np.empty(m * n + 8)  # 8 spare doubles cover any 8-byte-aligned start
     start = -buf.ctypes.data % 64 // 8
     rows = buf[start : start + m * n].reshape(m, n)

@@ -192,13 +192,13 @@ def product_gaussian_median(rho: float, tol: float = 1e-6) -> float:
     2.0 is above erf(1) = 0.84 even in the heaviest-tailed |rho| = 1 case.
 
     Raises:
-        InvalidInputError: rho outside [-1, 1] or tol <= 0.
+        InvalidInputError: rho outside [-1, 1] or tol not finite and positive.
         NumericalFailure: bisection fails to reach tol within 200 steps.
     """
     if not -1.0 <= rho <= 1.0:
         raise InvalidInputError(f"correlation must lie in [-1, 1], got {rho}")
-    if not tol > 0.0:
-        raise InvalidInputError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise InvalidInputError(f"tolerance must be finite and positive, got {tol}")
     lo, hi = 1e-4, 2.0
     flo = product_gaussian_cdf(lo, rho) - 0.5
     fhi = product_gaussian_cdf(hi, rho) - 0.5

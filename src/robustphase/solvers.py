@@ -49,7 +49,7 @@ from .errors import InvalidInputError, _parse_choice, _require_count
 from .metrics import _norm, relative_error
 from .model import TAG_INIT, ProblemInstance, SensingEnsemble, derive_seed
 from .quantile import _rank, sample_median
-from .spectral import InitResult, mean_spectral_init, median_spectral_init
+from .spectral import _ALPHA_Y, InitResult, mean_spectral_init, median_spectral_init
 
 __all__ = [
     "Algorithm",
@@ -65,6 +65,8 @@ __all__ = [
 ]
 
 _GRADIENT_FLOOR = 1e-14
+# Screening thresholds alpha_l, alpha_u, alpha_h, alpha_h', fixed like mu.
+_ALPHA_L, _ALPHA_U, _ALPHA_H, _ALPHA_H_PRIME = 0.3, 5.0, 12.0, 5.0
 
 
 class Algorithm(str, Enum):
@@ -79,20 +81,17 @@ class Algorithm(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Algorithm choice plus every tunable the iteration reads.
+    """What a run chooses: the algorithm, its budget and its stopping rule.
 
-    The step size is fixed at 0.4 for the intensity (TWF) family and 0.8
-    for the amplitude (RWF) family.  ``fixed_iterations`` disables early
-    stopping so traces always reach ``max_iters``, which the experiment
-    harness uses for figure-style convergence curves.
+    The step size (0.4 for the intensity (TWF) family, 0.8 for the
+    amplitude (RWF) family) and the screening thresholds (alpha_l = 0.3,
+    alpha_u = 5, alpha_h = 12, alpha_h' = 5; the init's alpha_y = 3) are
+    fixed, not configured.  ``fixed_iterations`` disables early stopping
+    so traces always reach ``max_iters``, which the experiment harness
+    uses for figure-style convergence curves.
     """
 
     algorithm: Algorithm
-    alpha_l: float = 0.3
-    alpha_u: float = 5.0
-    alpha_y: float = 3.0
-    alpha_h: float = 12.0
-    alpha_h_prime: float = 5.0
     max_iters: int = 500
     success_tol: float = 1e-8
     fixed_iterations: bool = False
@@ -100,16 +99,11 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "algorithm", _parse_choice(Algorithm, self.algorithm))
-        if not 0.0 < self.alpha_l <= self.alpha_u:
-            raise InvalidInputError(
-                f"need 0 < alpha_l <= alpha_u, got ({self.alpha_l}, {self.alpha_u})"
-            )
-        # Written as "not x > 0" so that NaN fails too.
-        if not (self.alpha_h > 0.0 and self.alpha_h_prime > 0.0 and self.alpha_y > 0.0):
-            raise InvalidInputError("truncation thresholds must be positive")
         _require_count(self.max_iters, "iteration budget")
-        if not self.success_tol > 0.0:
-            raise InvalidInputError(f"success tolerance must be positive, got {self.success_tol}")
+        if not 0.0 < self.success_tol < math.inf:  # NaN fails too
+            raise InvalidInputError(
+                f"success tolerance must be finite and positive, got {self.success_tol}"
+            )
         if self.known_s is not None and not 0.0 <= self.known_s < 0.5:
             raise InvalidInputError(f"known_s must lie in [0, 0.5), got {self.known_s}")
         if self.algorithm is Algorithm.TRIMEAN_TWF and self.known_s is None:
@@ -151,8 +145,12 @@ def _gaussian_second_moment_below(t: float) -> float:
     return math.erf(t / math.sqrt(2.0)) - t * math.sqrt(2.0 / math.pi) * math.exp(-t * t / 2.0)
 
 
-def validate_twf_params(cfg: SolverConfig) -> tuple[float, float, bool]:
-    """Check the intensity-family threshold condition.
+def validate_twf_params(
+    *, alpha_l: float = _ALPHA_L, alpha_u: float = _ALPHA_U,
+    alpha_h: float = _ALPHA_H, alpha_y: float = _ALPHA_Y,
+) -> tuple[float, float, bool]:
+    """Check the intensity-family threshold condition, by default at the
+    thresholds the solvers use.
 
     Computes, for xi ~ N(0,1) and the event
     B = {|xi| < sqrt(1.01) alpha_l or |xi| > sqrt(0.99) alpha_u},
@@ -166,8 +164,8 @@ def validate_twf_params(cfg: SolverConfig) -> tuple[float, float, bool]:
 
     Report-only: an invalid combination is returned, never raised.
     """
-    a = math.sqrt(1.01) * cfg.alpha_l
-    b = math.sqrt(0.99) * cfg.alpha_u
+    a = math.sqrt(1.01) * alpha_l
+    b = math.sqrt(0.99) * alpha_u
     if a >= b:
         # The two half-events overlap, so B is almost sure.
         zeta1 = 1.0
@@ -177,11 +175,11 @@ def validate_twf_params(cfg: SolverConfig) -> tuple[float, float, bool]:
         )
         prob = math.erf(a / math.sqrt(2.0)) + (1.0 - math.erf(b / math.sqrt(2.0)))
         zeta1 = max(moment, prob)
-    c = 0.248 * cfg.alpha_h
+    c = 0.248 * alpha_h
     zeta2 = 1.0 - _gaussian_second_moment_below(c)
     holds = (
-        2.0 * (zeta1 + zeta2) + math.sqrt(8.0 / math.pi) / cfg.alpha_h < 1.99
-        and cfg.alpha_y >= 3.0
+        2.0 * (zeta1 + zeta2) + math.sqrt(8.0 / math.pi) / alpha_h < 1.99
+        and alpha_y >= 3.0
     )
     return zeta1, zeta2, holds
 
@@ -252,15 +250,15 @@ def _screened_gradient(
 
     if loss == "intensity":
         abs_az = np.abs(az)
-        passed = (abs_az >= cfg.alpha_l * z_norm) & (abs_az <= cfg.alpha_u * z_norm)
-        passed &= resid <= cfg.alpha_h * stat * abs_az / z_norm
+        passed = (abs_az >= _ALPHA_L * z_norm) & (abs_az <= _ALPHA_U * z_norm)
+        passed &= resid <= _ALPHA_H * stat * abs_az / z_norm
         keep = passed if keep is None else keep & passed
         coeff = np.divide(misfit, az, out=np.zeros(m), where=keep)
     else:
         signed_sqrt_y = np.where(az >= 0.0, sqrt_y, -sqrt_y)  # sign(0) = +1
         if statistic == "none":
             return rows.T @ (az - signed_sqrt_y) / m, m, stat
-        keep = resid <= cfg.alpha_h_prime * stat
+        keep = resid <= _ALPHA_H_PRIME * stat
         coeff = np.subtract(az, signed_sqrt_y, out=np.zeros(m), where=keep)
     return rows.T @ coeff / m, np.count_nonzero(keep), stat
 
@@ -330,9 +328,7 @@ def _recipe(algorithm: Algorithm) -> tuple[Callable, Callable, float]:
 def _initialize(problem: ProblemInstance, cfg: SolverConfig) -> InitResult:
     seed = derive_seed(problem.master_seed, TAG_INIT)  # the one init seed rule
     init_fn = _recipe(cfg.algorithm)[1]
-    return init_fn(
-        problem.ensemble, problem.measurements.y, alpha_y=cfg.alpha_y, seed=seed
-    )
+    return init_fn(problem.ensemble, problem.measurements.y, seed=seed)
 
 
 def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:

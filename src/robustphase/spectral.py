@@ -4,15 +4,16 @@ The initial iterate is z0 = lambda0 * v where lambda0 estimates the signal
 norm and v is the leading eigenvector, computed matrix-free by Lanczos, of
 the truncated weighted covariance
 
-    Y = (1/m) sum_i  y_i a_i a_i^T 1{|y_i| <= alpha_y^2 lambda0^2}.
+    Y = (1/m) sum_i  y_i a_i a_i^T 1{|y_i| <= alpha_y^2 lambda0^2},
 
-The robust scale estimate divides the median of y by 0.455, the median of
-the squared-Gaussian intensity distribution to three decimals; the mean
-variant used by the baselines divides by its mean (which is 1) and is
-fragile under outliers by design.  An estimate that is negative or zero
-(all-zero y, say) leaves nothing to screen against, so both raise
-``DegenerateMeasurements`` before any eigenvector work.  The eigensolver
-runs with ``leading_eigenvector``'s default tolerance and budget.
+with alpha_y = 3 (``_ALPHA_Y``) fixed, like the solvers' thresholds.  The
+robust scale estimate divides the median of y by 0.455, the median of the
+squared-Gaussian intensity distribution to three decimals; the mean variant
+used by the baselines divides by its mean (which is 1) and is fragile under
+outliers by design.  An estimate that is negative or zero (all-zero y, say)
+leaves nothing to screen against, so both raise ``DegenerateMeasurements``
+before any eigenvector work.  The eigensolver runs with
+``leading_eigenvector``'s default tolerance and budget.
 
 Arbitrary outliers can push some y_i negative, making Y indefinite; the
 mask deliberately thresholds |y_i|, and the eigensolver tracks the
@@ -44,6 +45,7 @@ __all__ = [
 # Median of the chi-square(1) law followed by clean intensities at unit
 # signal norm, rounded to the three decimals the algorithm is defined with.
 MEDIAN_INTENSITY_CALIBRATION = 0.455
+_ALPHA_Y = 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +107,8 @@ def leading_eigenvector(
     Returns:
         (unit vector, operator applications, converged flag).
     """
-    if not tol > 0.0:
-        raise InvalidInputError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise InvalidInputError(f"tolerance must be finite and positive, got {tol}")
     _require_count(n, "n")
     _require_count(max_iters, "max_iters")
     v = _rng(seed).standard_normal(n)
@@ -148,11 +150,8 @@ def _spectral_init(
     ensemble: SensingEnsemble,
     y,
     estimate_lambda0: Callable[[np.ndarray], float],
-    alpha_y: float,
     seed: int,
 ) -> InitResult:
-    if not alpha_y > 0.0:
-        raise InvalidInputError(f"alpha_y must be positive, got {alpha_y}")
     y = np.asarray(y, dtype=float)
     if y.shape != (ensemble.m,) or not np.isfinite(y).all():
         raise InvalidInputError(
@@ -162,7 +161,7 @@ def _spectral_init(
     lambda0 = estimate_lambda0(y)
     if lambda0 == 0.0:
         raise DegenerateMeasurements("scale estimate is zero; the measurements carry no norm")
-    weights, kept = _surrogate_weights(y, alpha_y, lambda0)
+    weights, kept = _surrogate_weights(y, _ALPHA_Y, lambda0)
     direction, iters, converged = leading_eigenvector(
         lambda v: _weighted_apply(ensemble, weights, v),
         ensemble.n,
@@ -177,29 +176,25 @@ def _spectral_init(
     )
 
 
-def median_spectral_init(
-    ensemble: SensingEnsemble, y, alpha_y: float = 3.0, *, seed: int
-) -> InitResult:
+def median_spectral_init(ensemble: SensingEnsemble, y, *, seed: int) -> InitResult:
     """Median-truncated spectral initialization.
 
     The returned iterate satisfies ||z0|| = lambda0; its direction carries
     an arbitrary sign, which downstream distance computations absorb.
-    ``seed`` keys the Lanczos start vector; the solver passes
-    ``derive_seed(master_seed, TAG_INIT)``.
+    The mask threshold is alpha_y = 3.  ``seed`` keys the Lanczos start
+    vector; the solver passes ``derive_seed(master_seed, TAG_INIT)``.
 
     Raises:
         DegenerateMeasurements: the median of y is negative or zero.
     """
-    return _spectral_init(ensemble, y, scale_estimate, alpha_y, seed)
+    return _spectral_init(ensemble, y, scale_estimate, seed)
 
 
-def mean_spectral_init(
-    ensemble: SensingEnsemble, y, alpha_y: float = 3.0, *, seed: int
-) -> InitResult:
+def mean_spectral_init(ensemble: SensingEnsemble, y, *, seed: int) -> InitResult:
     """Mean-based initialization used by the non-robust baselines.
 
     lambda0 = sqrt(mean(y)); a single enormous outlier inflates it without
     bound, which is exactly the fragility the robust variant avoids.
     ``seed`` keys the Lanczos start vector, as for the median init.
     """
-    return _spectral_init(ensemble, y, _mean_scale, alpha_y, seed)
+    return _spectral_init(ensemble, y, _mean_scale, seed)

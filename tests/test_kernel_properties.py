@@ -187,12 +187,12 @@ def _reference_gradient(ensemble, y, z, cfg, loss, statistic):
     coeff = np.zeros(m)
     if loss == "intensity":
         abs_az = np.abs(az)
-        e1 = (abs_az >= cfg.alpha_l * z_norm) & (abs_az <= cfg.alpha_u * z_norm)
-        e2 = resid <= cfg.alpha_h * stat * abs_az / z_norm
+        e1 = (abs_az >= 0.3 * z_norm) & (abs_az <= 5.0 * z_norm)
+        e2 = resid <= 12.0 * stat * abs_az / z_norm
         keep = active & e1 & e2
         coeff[keep] = (az[keep] ** 2 - y[keep]) / az[keep]
     else:
-        keep = active if statistic == "none" else resid <= cfg.alpha_h_prime * stat
+        keep = active if statistic == "none" else resid <= 5.0 * stat
         sign = np.where(az >= 0.0, 1.0, -1.0)
         coeff[keep] = az[keep] - sqrt_y[keep] * sign[keep]
     gradient = rows.T @ coeff / m

@@ -107,6 +107,8 @@ def test_is_success_boundary_inclusive():
         is_success(0.1, 0.0)
     with pytest.raises(InvalidInputError):
         is_success(1e-12, float("nan"))
+    with pytest.raises(InvalidInputError):
+        is_success(0.5, float("inf"))
 
 
 def test_sign_flip_fraction_extremes():

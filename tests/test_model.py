@@ -26,7 +26,7 @@ from robustphase import (
     sample_ensemble,
     sample_signal,
 )
-from robustphase.model import _poisson_draws
+from robustphase.model import _poisson_draws, _rng
 
 
 def test_derive_seed_is_stable_and_tag_sensitive():
@@ -34,6 +34,20 @@ def test_derive_seed_is_stable_and_tag_sensitive():
     tags = {derive_seed(42, t) for t in (TAG_SIGNAL, TAG_ENSEMBLE, TAG_CORRUPTION)}
     assert len(tags) == 3
     assert derive_seed(42, TAG_SIGNAL) != derive_seed(43, TAG_SIGNAL)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, -1, float("nan")])
+def test_seeds_must_be_integers_at_least_zero(seed):
+    # int() would truncate 1.5 to seed 1 and numpy rejects -1 with a bare
+    # ValueError; every entry point that takes a seed shares one check.
+    for make in (
+        lambda: derive_seed(seed),
+        lambda: derive_seed(7, seed),
+        lambda: _rng(seed),
+        lambda: generate_problem(4, 8, CorruptionSpec(), seed),
+    ):
+        with pytest.raises(InvalidInputError, match="seed must be an integer >= 0"):
+            make()
 
 
 # ------------------------------------------------------------------ signals
@@ -54,8 +68,9 @@ def test_signal_moments():
 
 def test_signal_edge_cases():
     assert np.isfinite(sample_signal(1, seed=0)).all()
-    with pytest.raises(InvalidInputError):
-        sample_signal(0, seed=0)
+    for n in (0, 3.0):
+        with pytest.raises(InvalidInputError):
+            sample_signal(n, seed=0)
 
 
 # ---------------------------------------------------------------- ensembles
@@ -102,10 +117,10 @@ def test_ensemble_row_norms_concentrate():
 
 
 def test_ensemble_rejects_zero_dims():
-    with pytest.raises(InvalidInputError):
-        sample_ensemble(0, 5, seed=0)
-    with pytest.raises(InvalidInputError):
-        sample_ensemble(5, 0, seed=0)
+    # Fractional sizes are refused too, not passed on to numpy's TypeError.
+    for n, m in ((0, 5), (5, 0), (4.0, 8), (4, 8.5)):
+        with pytest.raises(InvalidInputError):
+            sample_ensemble(n, m, seed=0)
 
 
 # ------------------------------------------------------------- measurements

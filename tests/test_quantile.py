@@ -243,6 +243,8 @@ def test_median_rejects_bad_arguments():
         product_gaussian_median(0.5, tol=0.0)
     with pytest.raises(InvalidInputError):
         product_gaussian_median(0.5, tol=float("nan"))
+    with pytest.raises(InvalidInputError):
+        product_gaussian_median(0.5, tol=float("inf"))
 
 
 # ------------------------------------------------------ chi-square quantile

@@ -57,23 +57,15 @@ def test_config_validation():
     with pytest.raises(InvalidInputError, match="choose from median-twf, median-rwf"):
         SolverConfig(algorithm="bogus")
     with pytest.raises(InvalidInputError):
-        SolverConfig(algorithm=Algorithm.MEDIAN_TWF, alpha_l=0.0)
-    with pytest.raises(InvalidInputError):
-        SolverConfig(algorithm=Algorithm.MEDIAN_TWF, alpha_l=6.0, alpha_u=5.0)
-    with pytest.raises(InvalidInputError):
-        SolverConfig(algorithm=Algorithm.MEDIAN_TWF, alpha_h=-1.0)
-    with pytest.raises(InvalidInputError):
-        SolverConfig(algorithm=Algorithm.MEDIAN_RWF, alpha_h_prime=0.0)
-    with pytest.raises(InvalidInputError):
         SolverConfig(algorithm=Algorithm.MEDIAN_TWF, max_iters=0)
     with pytest.raises(InvalidInputError):
         SolverConfig(algorithm=Algorithm.MEDIAN_TWF, success_tol=0.0)
-    # NaN fails every "must be positive" check, and a count must be integral:
-    # a fractional fixed-T budget would never meet t == max_iters.
-    nan = float("nan")
+    # NaN and inf fail the tolerance check (an infinite one would call any
+    # start a success), and a count must be integral: a fractional fixed-T
+    # budget would never meet t == max_iters.
     for bad in (
-        dict(alpha_h=nan), dict(alpha_h_prime=nan), dict(alpha_y=nan),
-        dict(success_tol=nan), dict(max_iters=3.5), dict(max_iters=3.0),
+        dict(success_tol=float("nan")), dict(success_tol=float("inf")),
+        dict(max_iters=3.5), dict(max_iters=3.0),
     ):
         with pytest.raises(InvalidInputError):
             SolverConfig(algorithm=Algorithm.MEAN_TWF, fixed_iterations=True, **bad)
@@ -97,7 +89,7 @@ def test_config_accepts_string_algorithm():
 
 
 def test_validate_twf_params_defaults():
-    zeta1, zeta2, holds = validate_twf_params(MTWF)
+    zeta1, zeta2, holds = validate_twf_params()
     assert zeta1 == pytest.approx(ZETA1_DEFAULT, abs=1e-12)
     assert zeta2 == pytest.approx(ZETA2_DEFAULT, abs=1e-12)
     assert abs(zeta1 - 0.24) <= 0.01
@@ -106,15 +98,13 @@ def test_validate_twf_params_defaults():
 
 
 def test_validate_twf_params_degenerate_band():
-    cfg = SolverConfig(algorithm=Algorithm.MEDIAN_TWF, alpha_l=2.0, alpha_u=2.0)
-    zeta1, _, holds = validate_twf_params(cfg)
+    zeta1, _, holds = validate_twf_params(alpha_l=2.0, alpha_u=2.0)
     assert zeta1 == 1.0
     assert not holds
 
 
 def test_validate_twf_params_huge_alpha_h():
-    cfg = SolverConfig(algorithm=Algorithm.MEDIAN_TWF, alpha_h=1e6)
-    _, zeta2, _ = validate_twf_params(cfg)
+    _, zeta2, _ = validate_twf_params(alpha_h=1e6)
     assert zeta2 < 1e-12
 
 
@@ -206,7 +196,8 @@ def test_mean_statistic_explodes_under_one_outlier_median_does_not():
     assert k_mean / k_med >= 1e6
 
 
-def test_mrwf_keeps_majority_when_threshold_at_least_one():
+def test_mrwf_keeps_majority_when_threshold_at_least_one(monkeypatch):
+    monkeypatch.setattr(solvers_module, "_ALPHA_H_PRIME", 1.0)
     rng = np.random.Generator(np.random.Philox(key=63))
     for trial in range(20):
         n, m = 6, int(rng.integers(11, 101))
@@ -215,16 +206,15 @@ def test_mrwf_keeps_majority_when_threshold_at_least_one():
         y = clean_measurements(ens, x)
         y[: m // 4] += rng.uniform(0.0, 50.0, m // 4)  # some corruption
         z = rng.standard_normal(n)
-        cfg = SolverConfig(algorithm=Algorithm.MEDIAN_RWF, alpha_h_prime=1.0)
-        _, kept, _ = mrwf_gradient(ens, y, z, cfg)
+        _, kept, _ = mrwf_gradient(ens, y, z, MRWF)
         assert kept >= math.ceil(m / 2)
 
 
-def test_rwf_equals_truncation_free_mrwf():
+def test_rwf_equals_truncation_free_mrwf(monkeypatch):
+    monkeypatch.setattr(solvers_module, "_ALPHA_H_PRIME", 1e12)
     ens, x, y = _perfect_instance(n=7, m=50, seed=65)
     z = sample_signal(7, seed=66)
-    cfg = SolverConfig(algorithm=Algorithm.MEDIAN_RWF, alpha_h_prime=1e12)
-    g_m, kept, _ = mrwf_gradient(ens, y, z, cfg)
+    g_m, kept, _ = mrwf_gradient(ens, y, z, MRWF)
     g_rwf, _, _ = rwf_gradient(ens, y, z, RWF)
     np.testing.assert_array_equal(g_m, g_rwf)
     assert kept == 50
@@ -387,7 +377,7 @@ def _reference_run(problem, cfg):
     """run_solver's loop with every iterate computed: no cycle replay."""
     init_fn = median_spectral_init if cfg.algorithm in MEDIAN_INIT else mean_spectral_init
     init = init_fn(
-        problem.ensemble, problem.measurements.y, alpha_y=cfg.alpha_y,
+        problem.ensemble, problem.measurements.y,
         seed=derive_seed(problem.master_seed, TAG_INIT),
     )
     gradient_fn = getattr(solvers_module, GRADIENT_NAMES[cfg.algorithm])
