@@ -1,17 +1,32 @@
-"""Golden output: SHA-256 of the CSV each experiment writes for a fixed command.
+"""Golden output: the CSV each experiment writes for a fixed command.
 
 One small command per experiment runs every algorithm through ``cli_main``.
-The hashes pin the exact bytes, so any change to the solvers, the spectral
-init, the seed derivation, cell order or CSV formatting shows here.  They
-were taken with numpy 2.4.6 and OpenBLAS 0.3.31; another BLAS build may
-round a matvec differently and move them (see README "Tests").
+The SHA-256 pins are the gate: they pin the exact bytes, so any change to
+the solvers, the spectral init, the seed derivation, cell order or CSV
+formatting shows here.  They were taken with numpy 2.4.6 and OpenBLAS
+0.3.31; another BLAS build may round a matvec differently and move them
+(see README "Tests").
+
+``tests/golden/`` holds what the hashes stand for, so that a mismatch can be
+read.  The four summary commands commit their whole CSV (``<name>.csv``);
+the three per-iteration commands commit one digest line per trace
+(``<name>.traces.csv``: experiment, algorithm, seed, row count, ``rel_err``
+at the first and last ``t``, and the SHA-256 of the trace's rows).
+``test_csv_matches_committed_golden_file`` names the first differing row or
+trace, its ``t`` and column, and calls the change "rounding-level" when
+every difference it can measure is below 1e-12 relative, "structural"
+otherwise.  A re-pin rewrites the files and prints the seven hashes in one
+step::
+
+    PYTHONPATH=src python tests/test_golden.py
 
 The two ``*-replay`` commands run the full 500-iteration budget at n=64,
 where median-RWF and median-TWF end in bitwise cycles, so most of their
 traces are copied by ``run_solver``'s cycle replay rather than computed;
-``noise-replay`` writes every iteration's kept count and statistic.  Their
-hashes match a run with the replay switched off, which recomputes every
-iteration.
+``noise-replay`` writes every iteration's kept count and statistic.
+``test_replay_commands_copy_their_cycles`` asserts that they compute fewer
+gradients than the budget asks for.  Their hashes match a run with the
+replay switched off, which recomputes every iteration.
 
 ``test_result_rows_are_failed_or_complete`` holds the summary commands to the
 row contract the benchmark checks: a trial either failed (NaN error, no
@@ -19,18 +34,24 @@ iterations, not successful) or ran to a finite error.
 ``test_iteration_traces_are_complete`` is its per-iteration counterpart: a
 failed trial writes no rows, and every other trial writes t = 0..max_iters
 with finite errors and kept counts in [0, m].
+
+Each command runs once per session; every test here reads its output.
 """
 
 import csv
 import hashlib
+import io
 import math
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
+import robustphase.solvers as solvers_module
 from robustphase.harness import cli_main
 
 ALGOS = "median-twf,median-rwf,twf,rwf,trimean-twf"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 GOLDEN = {
     "single": (
@@ -73,14 +94,227 @@ GOLDEN = {
         "67b129c82d8ec97e1b335d204663c3d65231176bd638c4cecf12ba0633556c33",
     ),
 }
+PER_ITERATION_COMMANDS = ("noise-curve", "poisson")
+
+# (argv, traces written): every trial of the golden commands completes; at
+# n=1, m=3 the Poisson counts of 23 of the 40 trials are all zero, so their
+# init has no scale estimate and the trial fails.
+PER_ITERATION = {
+    "noise": (GOLDEN["noise"][0], 24),
+    "poisson": (GOLDEN["poisson"][0], 12),
+    "noise-replay": (GOLDEN["noise-replay"][0], 8),
+    "poisson-tiny": (
+        ["poisson", "--n", "1", "--m", "3", "--trials", "20", "--algos", "median-twf",
+         "--max-iters", "5"],
+        17,
+    ),
+}
+
+GRADIENTS = ("mtwf_gradient", "mrwf_gradient", "twf_gradient", "rwf_gradient",
+             "trimean_twf_gradient")
+
+
+def _run(argv, out):
+    """Run one command into ``out``; returns the gradient calls made in this
+    process (a pool's workers count none)."""
+    calls = 0
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in GRADIENTS:
+            mp.setattr(solvers_module, name, counting(getattr(solvers_module, name)))
+        assert cli_main(argv + ["--out", str(out)]) == 0
+    return calls
+
+
+@pytest.fixture(scope="module")
+def output(tmp_path_factory):
+    """name -> (CSV bytes, gradient calls) of the golden and per-iteration
+    commands, each run once on first use."""
+    runs = {}
+
+    def get(name):
+        if name not in runs:
+            argv = GOLDEN[name][0] if name in GOLDEN else PER_ITERATION[name][0]
+            out = tmp_path_factory.mktemp("golden") / f"{name}.csv"
+            calls = _run(argv, out)
+            runs[name] = (out.read_bytes(), calls)
+        return runs[name]
+
+    return get
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_csv_bytes_match_golden_hash(name, tmp_path):
-    argv, expected = GOLDEN[name]
-    out = tmp_path / f"{name}.csv"
-    assert cli_main(argv + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+def test_csv_bytes_match_golden_hash(name, output):
+    assert hashlib.sha256(output(name)[0]).hexdigest() == GOLDEN[name][1]
+
+
+# ------------------------------------------------ readable golden mismatches
+
+ROUNDING = 1e-12  # largest relative difference still called rounding-level
+FLOAT_COLUMNS = {"s", "eta_max_rel", "w_max_rel", "final_rel_err", "wall_time_ms",
+                 "rel_err", "median_stat", "rel_err_first", "rel_err_last"}
+DIGEST_HEADER = ["experiment", "algorithm", "seed", "rows", "rel_err_first",
+                 "rel_err_last", "sha256"]
+
+
+def _golden_path(name):
+    per_iteration = GOLDEN[name][0][0] in PER_ITERATION_COMMANDS
+    return GOLDEN_DIR / (f"{name}.traces.csv" if per_iteration else f"{name}.csv")
+
+
+def _trace_digest(csv_bytes):
+    """One digest line per trace of a per-iteration CSV, in file order."""
+    lines = csv_bytes.decode().splitlines(keepends=True)
+    traces = {}  # (experiment, algorithm, seed) -> its lines; dicts keep order
+    for line in lines[1:]:
+        experiment, algorithm, _, _, seed, _ = line.split(",", 5)
+        traces.setdefault((experiment, algorithm, seed), []).append(line)
+    out = io.StringIO()
+    out.write(",".join(DIGEST_HEADER) + "\n")
+    for key, rows in traces.items():
+        first, last = (row.split(",")[6] for row in (rows[0], rows[-1]))
+        sha = hashlib.sha256("".join(rows).encode()).hexdigest()
+        out.write(",".join([*key, str(len(rows)), first, last, sha]) + "\n")
+    return out.getvalue().encode()
+
+
+def _golden_bytes(name, csv_bytes):
+    """What ``tests/golden/`` holds for a command's output."""
+    per_iteration = GOLDEN[name][0][0] in PER_ITERATION_COMMANDS
+    return _trace_digest(csv_bytes) if per_iteration else csv_bytes
+
+
+def _relative(want, got):
+    """|want - got| / max(|want|, |got|) of two written floats; inf unless
+    both are finite numbers."""
+    a, b = float(want), float(got)
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _where(header, row, column):
+    """Where a difference sits: the column, and for a trace digest the ``t``."""
+    if "sha256" not in header or column not in ("rel_err_first", "rel_err_last", "sha256"):
+        return f"column {column}"
+    last_t = int(row[header.index("rows")]) - 1
+    if column == "sha256":
+        return f"t between 1 and {last_t - 1} (rel_err at t = 0 and t = {last_t} agree)"
+    return f"t = {0 if column == 'rel_err_first' else last_t}, column rel_err"
+
+
+def golden_mismatch(name, csv_bytes):
+    """None if the output matches ``tests/golden/``, else a message naming the
+    first differing row or trace and calling the change rounding-level or
+    structural."""
+    want_text = _golden_path(name).read_text()
+    got_text = _golden_bytes(name, csv_bytes).decode()
+    if want_text == got_text:
+        return None
+    want = list(csv.reader(io.StringIO(want_text)))
+    got = list(csv.reader(io.StringIO(got_text)))
+    header = want[0]
+    if got[0] != header:
+        return f"{name}: structural: header {got[0]} != {header}"
+    trace_level = "sha256" in header
+    key_columns = [c for c in ("experiment", "algorithm", "n", "m", "seed") if c in header]
+    first, largest, differing = None, 0.0, 0
+    for i, (w, g) in enumerate(zip(want[1:], got[1:]), start=1):
+        if w == g:
+            continue
+        differing += 1
+        diffs = {}  # column -> relative difference, inf when not measurable
+        for column, a, b in zip(header, w, g):
+            if a != b:
+                diffs[column] = _relative(a, b) if column in FLOAT_COLUMNS else math.inf
+        if trace_level and set(diffs) == {"sha256"}:
+            pass  # both ends agree: the size of the difference is unknown
+        elif trace_level:
+            diffs.pop("sha256", None)  # the ends measure it
+        row_largest = max(diffs.values())
+        largest = max(largest, row_largest)
+        if first is None:
+            column = next(iter(diffs))
+            named = ", ".join(f"{c}={w[header.index(c)]}" for c in key_columns)
+            detail = f"{w[header.index(column)]} != {g[header.index(column)]}"
+            if column in FLOAT_COLUMNS:
+                detail += f" (relative {diffs[column]:.3g})"
+            first = (f"first differing {'trace' if trace_level else 'row'} {i} "
+                     f"({named}), {_where(header, w, column)}: {detail}")
+    if len(want) != len(got):
+        largest = math.inf
+        first = first or f"the golden file has {len(want) - 1} lines, the output {len(got) - 1}"
+    kind = "rounding-level" if largest < ROUNDING else "structural"
+    size = f"largest relative difference {largest:.3g}" if math.isfinite(largest) else (
+        "a difference no relative size measures")
+    return (f"{name} differs from {_golden_path(name).name}: {kind} ({size}; "
+            f"{differing} of {len(want) - 1} {'traces' if trace_level else 'rows'} differ)\n"
+            f"{first}")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_csv_matches_committed_golden_file(name, output):
+    message = golden_mismatch(name, output(name)[0])
+    assert message is None, message
+
+
+def test_golden_mismatch_names_the_row_and_the_kind():
+    csv_bytes = _golden_path("single").read_bytes()
+    assert golden_mismatch("single", csv_bytes) is None
+    lines = csv_bytes.decode().splitlines(keepends=True)
+    fields = lines[3].split(",")
+    err = float(fields[9])
+    for new_err, kind in ((err * (1 + 1e-15), "rounding-level"), (err * 1.001, "structural")):
+        fields[9] = repr(new_err)
+        edited = "".join(lines[:3] + [",".join(fields)] + lines[4:]).encode()
+        message = golden_mismatch("single", edited)
+        assert f": {kind} (" in message, message
+        assert f"first differing row 3 (experiment=single, algorithm={fields[1]}" in message
+        assert "column final_rel_err" in message, message
+
+
+def test_golden_mismatch_names_the_trace_and_t(output):
+    lines = output("noise")[0].decode().splitlines(keepends=True)
+    assert golden_mismatch("noise", b"".join(line.encode() for line in lines)) is None
+    per_trace = 41  # t = 0..40
+    for t, where in ((40, "t = 40, column rel_err"), (7, "t between 1 and 39")):
+        edited = list(lines)
+        fields = edited[1 + per_trace + t].split(",")  # the second trace
+        fields[6] = repr(float(fields[6]) * 1.001)
+        edited[1 + per_trace + t] = ",".join(fields)
+        message = golden_mismatch("noise", "".join(edited).encode())
+        assert ": structural (" in message and "1 of 24 traces differ" in message, message
+        assert f"first differing trace 2 (experiment={fields[0]}, algorithm={fields[1]}" in message
+        assert where in message, message
+
+
+# ------------------------------------------------------------ cycle replay
+
+
+@pytest.mark.parametrize("name", ["sweep-replay", "noise-replay"])
+def test_replay_commands_copy_their_cycles(name, output):
+    csv_bytes, calls = output(name)
+    argv = GOLDEN[name][0]
+    budget = _flag(argv, "--max-iters", 500)
+    lines = csv_bytes.decode().splitlines()[1:]
+    if argv[0] in PER_ITERATION_COMMANDS:
+        trials = len({tuple(line.split(",")[:5]) for line in lines})
+    else:
+        trials = len(lines)
+    assert 0 < calls < trials * (budget + 1)
+
+
+# ------------------------------------------------------------ row contracts
 
 
 def _flag(argv, flag, default):
@@ -88,13 +322,10 @@ def _flag(argv, flag, default):
 
 
 @pytest.mark.parametrize("name", ["single", "grid", "sweep"])
-def test_result_rows_are_failed_or_complete(name, tmp_path):
+def test_result_rows_are_failed_or_complete(name, output):
     argv, _ = GOLDEN[name]
-    out = tmp_path / f"{name}.csv"
-    assert cli_main(argv + ["--out", str(out)]) == 0
     max_iters, tol = _flag(argv, "--max-iters", 500), _flag(argv, "--tol", 1e-8)
-    with out.open(newline="") as f:
-        rows = list(csv.DictReader(f))
+    rows = list(csv.DictReader(io.StringIO(output(name)[0].decode())))
     assert rows
     failed = 0
     for row in rows:
@@ -115,30 +346,12 @@ def test_result_rows_are_failed_or_complete(name, tmp_path):
     assert (failed > 0) == (name == "sweep")
 
 
-# (argv, traces written): every trial of the golden commands completes; at
-# n=1, m=3 the Poisson counts of 23 of the 40 trials are all zero, so their
-# init has no scale estimate and the trial fails.
-PER_ITERATION = {
-    "noise": (GOLDEN["noise"][0], 24),
-    "poisson": (GOLDEN["poisson"][0], 12),
-    "noise-replay": (GOLDEN["noise-replay"][0], 8),
-    "poisson-tiny": (
-        ["poisson", "--n", "1", "--m", "3", "--trials", "20", "--algos", "median-twf",
-         "--max-iters", "5"],
-        17,
-    ),
-}
-
-
 @pytest.mark.parametrize("name", sorted(PER_ITERATION))
-def test_iteration_traces_are_complete(name, tmp_path):
+def test_iteration_traces_are_complete(name, output):
     argv, expected_traces = PER_ITERATION[name]
-    out = tmp_path / f"{name}.csv"
-    assert cli_main(argv + ["--out", str(out)]) == 0
     traces = defaultdict(list)
-    with out.open(newline="") as f:
-        for row in csv.DictReader(f):
-            traces[int(row["seed"])].append(row)
+    for row in csv.DictReader(io.StringIO(output(name)[0].decode())):
+        traces[int(row["seed"])].append(row)
     assert len(traces) == expected_traces
     max_iters = _flag(argv, "--max-iters", 500)
     for seed, trace in traces.items():
@@ -146,3 +359,25 @@ def test_iteration_traces_are_complete(name, tmp_path):
         assert [int(r["t"]) for r in trace] == list(range(max_iters + 1)), seed
         assert all(math.isfinite(float(r["rel_err"])) for r in trace), seed
         assert all(0 <= int(r["kept"]) <= m for r in trace), seed
+
+
+def write_golden_files(directory=GOLDEN_DIR):
+    """Rewrite ``tests/golden/`` from the current package; returns the seven
+    hashes to pin in ``GOLDEN``."""
+    import tempfile
+
+    directory.mkdir(exist_ok=True)
+    hashes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (argv, _) in GOLDEN.items():
+            out = Path(tmp) / f"{name}.csv"
+            assert cli_main(argv + ["--out", str(out)]) == 0
+            csv_bytes = out.read_bytes()
+            hashes[name] = hashlib.sha256(csv_bytes).hexdigest()
+            (directory / _golden_path(name).name).write_bytes(_golden_bytes(name, csv_bytes))
+    return hashes
+
+
+if __name__ == "__main__":
+    for name, digest in write_golden_files().items():
+        print(f"{name}: {digest}")
