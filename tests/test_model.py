@@ -23,6 +23,7 @@ from robustphase import (
     clean_measurements,
     derive_seed,
     generate_problem,
+    leading_eigenvector,
     sample_ensemble,
     sample_signal,
 )
@@ -87,7 +88,7 @@ def test_ensemble_deterministic_per_seed():
 @pytest.mark.parametrize("m, n", [(1, 1), (7, 3), (512, 64), (1024, 128), (4096, 512)])
 def test_ensemble_rows_start_on_a_cache_line(m, n):
     # Aligned rows speed up both matvecs; the values stay those of one
-    # standard_normal((m, n)) draw from the ensemble's Philox stream.
+    # standard_normal((m, n)) draw from the ensemble's SFC64 stream.
     seed = 17
     for rows, stream_seed in (
         (sample_ensemble(n, m, seed).rows, seed),
@@ -98,7 +99,7 @@ def test_ensemble_rows_start_on_a_cache_line(m, n):
         assert rows.flags.c_contiguous and rows.flags.writeable
         assert rows.dtype == np.float64 and rows.shape == (m, n)
         want = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(stream_seed))
+            np.random.SFC64(np.random.SeedSequence(stream_seed))
         ).standard_normal((m, n))
         assert rows.tobytes() == want.tobytes()
 
@@ -302,6 +303,50 @@ def test_poisson_draw_stream_is_pinned():
     assert draws.dtype == float
     assert draws.tolist() == [0.0, 0.0, 3.0, 43.0, 20.0, 120.0, 10056.0]
     assert rng.random() == 0.9320004665533839
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def test_each_stream_draws_from_its_pinned_generator():
+    """The ensemble draws from SFC64; the signal, corruption and Lanczos
+    start-vector streams draw from Philox.
+
+    The ensemble's literal values pin numpy's SFC64 stream and its ziggurat
+    normals.  A swap of any stream's generator, or a numpy release that
+    changes one of these streams (NEP 19 allows that), fails here by name
+    as well as in every golden hash.
+    """
+    assert sample_ensemble(3, 2, seed=29).rows.tolist() == [
+        [0.9213523161624136, -1.2052043150130378, -0.9471102732115068],
+        [1.2509485439233947, 0.7086532246008485, 0.33839829459582405],
+    ]
+    assert sample_signal(5, seed=29).tobytes() == _philox(29).standard_normal(5).tobytes()
+
+    clean, x_norm = np.arange(1.0, 13.0), 1.5
+    power = x_norm**2
+    for spec in (
+        CorruptionSpec(outlier_fraction=0.4, eta_max_rel=2.0, w_max_rel=0.1),
+        CorruptionSpec(
+            outlier_fraction=0.4, outlier_model=OutlierModel.INTEGER_UNIFORM, poisson=True
+        ),
+    ):
+        rng = _philox(29)  # the draw order apply_corruption documents
+        want = rng.poisson(clean).astype(float) if spec.poisson else clean.copy()
+        want += rng.uniform(0.0, spec.w_max_rel * power, 12) if spec.w_max_rel else 0.0
+        support = np.flatnonzero(rng.random(12) < spec.outlier_fraction)
+        if spec.outlier_model is OutlierModel.UNIFORM:
+            want[support] += rng.uniform(0.0, spec.eta_max_rel * power, support.size)
+        else:
+            want[support] += np.round(power * rng.random(support.size))
+        assert support.size > 0
+        got = apply_corruption(clean, spec, x_norm, seed=29)
+        assert got.y.tobytes() == want.tobytes(), spec
+
+    v, applies, _ = leading_eigenvector(lambda u: u, 5, seed=29)  # one apply: v is the start
+    start = _philox(29).standard_normal(5)
+    assert applies == 1 and v.tobytes() == (start / np.linalg.norm(start)).tobytes()
 
 
 # ------------------------------------------------------------------ problems
