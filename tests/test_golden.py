@@ -35,7 +35,7 @@ iterations, not successful) or ran to a finite error.
 failed trial writes no rows, and every other trial writes t = 0..max_iters
 with finite errors and kept counts in [0, m].
 
-Each command runs once per session; every test here reads its output.
+Each command runs once per test run; every test here reads its output.
 """
 
 import csv
