@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by every module in the package.
+"""Exception taxonomy and input checks shared by every module in the package.
 
 Three failure classes cover the whole pipeline:
 
@@ -9,6 +9,8 @@ Three failure classes cover the whole pipeline:
 
 from enum import Enum
 from numbers import Integral
+
+import numpy as np
 
 
 class RobustPhaseError(Exception):
@@ -49,3 +51,16 @@ def _require_seed(*values) -> None:
     for value in values:
         if not isinstance(value, Integral) or value < 0:
             raise InvalidInputError(f"seed must be an integer >= 0, got {value!r}")
+
+
+def _vector(values, what: str, length: int | None = None, *, finite: bool = False) -> np.ndarray:
+    """``values`` as a float array; InvalidInputError naming ``what`` unless its
+    shape is ``(length,)`` (any nonempty 1-D shape when ``length`` is None)
+    and, with ``finite``, it holds no NaN or inf."""
+    v = np.asarray(values, dtype=float)
+    if (v.shape != (length,)) if length is not None else (v.ndim != 1 or v.size == 0):
+        want = "a nonempty 1-D array" if length is None else f"of shape ({length},)"
+        raise InvalidInputError(f"{what} must be {want}, got shape {v.shape}")
+    if finite and not np.isfinite(v).all():
+        raise InvalidInputError(f"{what} contains NaN or infinite entries")
+    return v

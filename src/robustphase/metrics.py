@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _vector
 from .model import SensingEnsemble
 
 __all__ = [
@@ -20,14 +20,6 @@ __all__ = [
     "is_success",
     "sign_flip_fraction",
 ]
-
-
-def _pair(z, x, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or z.ndim not in ((1, 2) if stack else (1,)) or z.shape[-1] != len(x):
-        raise InvalidInputError(f"vectors must share a 1-D shape, got {z.shape} vs {x.shape}")
-    return z, x
 
 
 def _norm(v: np.ndarray) -> float:
@@ -41,7 +33,9 @@ def relative_error(z, x) -> float | np.ndarray:
     ``z`` may also be a (k, n) stack of iterates: the result is then the
     array of its k row errors, each bitwise what that row alone gives.
     """
-    z, x = _pair(z, x, stack=True)
+    x, z = _vector(x, "signal"), np.asarray(z, dtype=float)
+    if z.ndim not in (1, 2) or z.shape[-1] != x.size:
+        raise InvalidInputError(f"iterate shape {z.shape} does not match signal length {x.size}")
     x_norm = _norm(x)
     if x_norm == 0.0:
         raise InvalidInputError("relative error is undefined for a zero signal")
@@ -65,11 +59,7 @@ def sign_flip_fraction(ensemble: SensingEnsemble, x, z) -> float:
 
     Products exactly zero do not count: the event is a strict inequality.
     """
-    z, x = _pair(z, x)
-    if x.shape != (ensemble.n,):
-        raise InvalidInputError(
-            f"vector length {x.shape[0]} does not match ensemble n={ensemble.n}"
-        )
+    x, z = _vector(x, "signal", ensemble.n), _vector(z, "iterate", ensemble.n)
     if np.linalg.norm(x) == 0.0 or np.linalg.norm(z) == 0.0:
         raise InvalidInputError("sign flips are undefined for zero vectors")
     products = (ensemble.rows @ x) * (ensemble.rows @ z)

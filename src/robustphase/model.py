@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, _parse_choice, _require_count, _require_seed
+from .errors import InvalidInputError, _parse_choice, _require_count, _require_seed, _vector
 
 __all__ = [
     "TAG_SIGNAL",
@@ -117,12 +117,7 @@ def sample_ensemble(n: int, m: int, seed: int) -> SensingEnsemble:
 
 def clean_measurements(ensemble: SensingEnsemble, x: np.ndarray) -> np.ndarray:
     """Noiseless intensities (a_i . x)^2 for every row of the ensemble."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != ensemble.n:
-        raise InvalidInputError(
-            f"signal shape {x.shape} does not match ensemble dimension {ensemble.n}"
-        )
-    return (ensemble.rows @ x) ** 2
+    return (ensemble.rows @ _vector(x, "signal", ensemble.n)) ** 2
 
 
 class OutlierModel(str, Enum):
@@ -201,11 +196,9 @@ def apply_corruption(
             to sample, or an x_norm that is not finite and positive when
             relative magnitudes are required.
     """
-    clean = np.asarray(clean, dtype=float)
-    if clean.ndim != 1 or clean.size == 0:
-        raise InvalidInputError("clean intensities must be a nonempty 1-D array")
-    if not np.isfinite(clean).all() or np.any(clean < 0.0):
-        raise InvalidInputError("clean intensities must be finite and nonnegative")
+    clean = _vector(clean, "clean intensities", finite=True)
+    if np.any(clean < 0.0):
+        raise InvalidInputError("clean intensities must be nonnegative")
     m = clean.size
     s = spec.outlier_fraction
 

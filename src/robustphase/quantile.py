@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailure
+from .errors import InvalidInputError, NumericalFailure, _vector
 
 __all__ = [
     "sample_quantile",
@@ -44,17 +44,6 @@ _CDF_EPS = 1e-10
 _CDF_XMAX = 40.0
 
 
-def _validated_sample(values) -> np.ndarray:
-    xs = np.asarray(values, dtype=float)
-    if xs.ndim != 1:
-        raise InvalidInputError(f"expected a 1-D sample, got shape {xs.shape}")
-    if xs.size == 0:
-        raise InvalidInputError("sample is empty")
-    if not np.isfinite(xs).all():
-        raise InvalidInputError("sample contains NaN or infinite entries")
-    return xs
-
-
 def _rank(p: float, m: int) -> int:
     # ceil(p * m), treating p*m within one part in 1e12 of an integer as that
     # integer, so float noise cannot bump the rank (p = 0.51, m = 100 -> 51).
@@ -63,7 +52,7 @@ def _rank(p: float, m: int) -> int:
 
 
 def _order_statistic(xs: np.ndarray, p: float) -> float:
-    # The ceil(p * m)-th smallest entry of a validated sample, by one partition.
+    # The ceil(p * m)-th smallest entry of a checked sample, by one partition.
     k = min(max(_rank(p, xs.size), 1), xs.size)
     return float(np.partition(xs, k - 1)[k - 1])
 
@@ -83,7 +72,7 @@ def sample_quantile(values, p: float) -> float:
     Raises:
         InvalidInputError: empty input, non-finite entries, or p outside (0, 1).
     """
-    xs = _validated_sample(values)
+    xs = _vector(values, "sample", finite=True)
     if not 0.0 < p < 1.0:
         raise InvalidInputError(f"quantile level must lie in (0, 1), got {p}")
     return _order_statistic(xs, p)
@@ -97,7 +86,7 @@ def sample_median(values) -> float:
     ``ceil(m / 2)`` comes from the same rule and selection that
     ``sample_quantile`` uses.
     """
-    return _order_statistic(_validated_sample(values), 0.5)
+    return _order_statistic(_vector(values, "sample", finite=True), 0.5)
 
 
 def product_gaussian_density(x, rho: float):

@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, _parse_choice, _require_count
+from .errors import InvalidInputError, _parse_choice, _require_count, _vector
 from .metrics import _norm, relative_error
 from .model import TAG_INIT, ProblemInstance, SensingEnsemble, derive_seed
 from .quantile import _rank, sample_median
@@ -185,13 +185,7 @@ def validate_twf_params(
 
 
 def _check_iterate(ensemble: SensingEnsemble, y, z) -> tuple[np.ndarray, np.ndarray, float]:
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if y.shape != (ensemble.m,) or z.shape != (ensemble.n,):
-        raise InvalidInputError(
-            f"shape mismatch: y {y.shape}, z {z.shape} vs ensemble "
-            f"({ensemble.m}, {ensemble.n})"
-        )
+    y, z = _vector(y, "measurements", ensemble.m), _vector(z, "iterate", ensemble.n)
     z_norm = _norm(z)
     if z_norm == 0.0:
         raise InvalidInputError("iterate is zero; truncation events are undefined")
@@ -237,6 +231,8 @@ def _screened_gradient(
     keep = None  # None: the statistic itself discards no sample
     if statistic == "mean":
         stat = float(resid.sum() / m)  # bitwise resid.mean()
+        if not math.isfinite(stat):  # a NaN would fail every E2 test and zero the gradient
+            raise InvalidInputError("residuals contain NaN or infinite entries")
     elif statistic == "trimmed":  # discard the ceil(s*m) largest residuals first
         if cfg.known_s is None:
             raise InvalidInputError("trimean-twf requires known_s")
@@ -286,7 +282,8 @@ def trimean_twf_gradient(
     rule ``sample_quantile`` uses, so float noise in known_s * m cannot drop
     one more; screens the remainder with the usual two events around the
     trimmed-mean statistic.  The kept set is that of a stable sort (ties go
-    to the lower index, NaN ranks last), found by one partition.
+    to the lower index), found by one partition.  NaN and inf residuals
+    rank last and are trimmed first, not refused.
     """
     return _screened_gradient(ensemble, y, z, cfg, "intensity", "trimmed")
 

@@ -29,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMeasurements, InvalidInputError, NumericalFailure, _require_count
+from .errors import DegenerateMeasurements, InvalidInputError, NumericalFailure
+from .errors import _require_count, _vector
 from .model import SensingEnsemble, _rng
 from .quantile import sample_median
 
@@ -152,12 +153,7 @@ def _spectral_init(
     estimate_lambda0: Callable[[np.ndarray], float],
     seed: int,
 ) -> InitResult:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (ensemble.m,) or not np.isfinite(y).all():
-        raise InvalidInputError(
-            f"measurements must be a finite 1-D array of length m={ensemble.m}, "
-            f"got shape {y.shape}"
-        )
+    y = _vector(y, "measurements", ensemble.m, finite=True)
     lambda0 = estimate_lambda0(y)
     if lambda0 == 0.0:
         raise DegenerateMeasurements("scale estimate is zero; the measurements carry no norm")

@@ -337,8 +337,11 @@ def test_mean_init_rejects_negative_mean():
 @pytest.mark.parametrize("init", [median_spectral_init, mean_spectral_init])
 @pytest.mark.parametrize(
     "y",
-    [np.ones(5), np.ones((6, 1)), np.r_[np.ones(5), np.nan], np.r_[np.ones(5), np.inf]],
-    ids=["short", "2-D", "nan", "inf"],
+    [
+        np.ones(5), np.ones((6, 1)), np.empty(0),
+        np.r_[np.ones(5), np.nan], np.r_[np.ones(5), np.inf],
+    ],
+    ids=["short", "2-D", "empty", "nan", "inf"],
 )
 def test_both_inits_reject_malformed_measurements(init, y):
     with pytest.raises(InvalidInputError):

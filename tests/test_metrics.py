@@ -45,8 +45,9 @@ def test_dist_symmetry_and_bounds():
 def test_dist_rejects_mismatch():
     with pytest.raises(InvalidInputError):
         relative_error([1.0, 2.0], [1.0])
-    with pytest.raises(InvalidInputError):
-        relative_error([[1.0]], [[1.0]])
+    for z, x in (([[1.0]], [[1.0]]), ([], []), ([], [1.0, 2.0]), ([1.0], [])):
+        with pytest.raises(InvalidInputError):
+            relative_error(z, x)
 
 
 def test_relative_error_examples():
@@ -118,8 +119,11 @@ def test_sign_flip_fraction_extremes():
     assert sign_flip_fraction(ens, x, -x) == 1.0
     with pytest.raises(InvalidInputError):
         sign_flip_fraction(ens, x, np.zeros(8))
-    with pytest.raises(InvalidInputError):
-        sign_flip_fraction(ens, np.ones(7), x)
+    for bad in (np.ones(7), np.ones((1, 8)), np.ones(0)):
+        with pytest.raises(InvalidInputError):
+            sign_flip_fraction(ens, bad, x)
+        with pytest.raises(InvalidInputError):
+            sign_flip_fraction(ens, x, bad)
 
 
 def test_sign_flip_fraction_strict_inequality():

@@ -147,8 +147,9 @@ def test_clean_measurements_sign_invariant():
 
 def test_clean_measurements_rejects_mismatch():
     ens = sample_ensemble(4, 10, seed=2)
-    with pytest.raises(InvalidInputError):
-        clean_measurements(ens, np.zeros(5))
+    for x in (np.zeros(5), np.zeros((1, 4)), np.zeros(0)):
+        with pytest.raises(InvalidInputError):
+            clean_measurements(ens, x)
 
 
 # ---------------------------------------------------------------- corruption
@@ -256,8 +257,9 @@ def test_relative_magnitudes_require_signal_scale():
     for x_norm in (0.0, math.inf):
         with pytest.raises(InvalidInputError):
             apply_corruption(np.ones(10), spec, x_norm=x_norm, seed=0)
-    with pytest.raises(InvalidInputError):
-        apply_corruption(np.array([-1.0]), CorruptionSpec(), x_norm=1.0, seed=0)
+    for clean in ([-1.0], np.ones((2, 5)), [], [1.0, math.nan], [1.0, math.inf]):
+        with pytest.raises(InvalidInputError):
+            apply_corruption(np.array(clean), CorruptionSpec(), x_norm=1.0, seed=0)
     with pytest.raises(InvalidInputError, match="1e\\+19"):
         apply_corruption(np.array([1e19]), CorruptionSpec(poisson=True), x_norm=1.0, seed=0)
 

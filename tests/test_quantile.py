@@ -106,8 +106,9 @@ def test_quantile_rejects_bad_input():
         sample_quantile([1.0, float("inf")], 0.5)
     with pytest.raises(InvalidInputError):
         sample_quantile([[1.0, 2.0]], 0.5)
-    with pytest.raises(InvalidInputError):
-        sample_median([])
+    for bad in ([], [[1.0, 2.0]], [1.0, float("nan")], [1.0, float("inf")]):
+        with pytest.raises(InvalidInputError):
+            sample_median(bad)
 
 
 def test_quantile_permutation_invariant():

@@ -166,8 +166,36 @@ def test_gradients_reject_zero_iterate():
             fn(ens, y, np.zeros(10), MTWF)
     with pytest.raises(InvalidInputError):
         rwf_gradient(ens, y, np.zeros(10), RWF)
+    for bad_y, bad_z in (
+        (y[:-1], x), (y[None, :], x), (y[:0], x), (y, x[:-1]), (y, x[None, :]), (y, x[:0]),
+    ):
+        with pytest.raises(InvalidInputError):
+            mtwf_gradient(ens, bad_y, bad_z, MTWF)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("fn, cfg", [
+    (mtwf_gradient, MTWF), (twf_gradient, TWF), (mrwf_gradient, MRWF), (rwf_gradient, RWF),
+], ids=["median-twf", "twf", "median-rwf", "rwf"])
+def test_gradients_refuse_a_nonfinite_measurement(fn, cfg, bad):
+    # One bad y_i makes the screening statistic non-finite.  Unchecked, the
+    # mean would turn a NaN into a zero gradient (every E2 test fails) and an
+    # inf into a NaN one; the median refuses it in sample_median.
+    ens, x, y = _perfect_instance(n=8, m=64)
+    y = y.copy()
+    y[5] = bad
     with pytest.raises(InvalidInputError):
-        mtwf_gradient(ens, y[:-1], x, MTWF)
+        fn(ens, y, 1.01 * x, cfg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_trimmed_statistic_trims_a_nonfinite_measurement(bad):
+    ens, x, y = _perfect_instance(n=8, m=64)
+    y = y.copy()
+    y[5] = bad
+    cfg = SolverConfig(algorithm=Algorithm.TRIMEAN_TWF, known_s=0.1)
+    g, kept, stat = trimean_twf_gradient(ens, y, 1.01 * x, cfg)
+    assert np.isfinite(g).all() and math.isfinite(stat) and 0 < kept < 64
 
 
 @pytest.mark.parametrize("fn, cfg", [
