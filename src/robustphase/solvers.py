@@ -64,7 +64,9 @@ __all__ = [
     "run_solver",
 ]
 
-_GRADIENT_FLOOR = 1e-14
+# A step is stationary when ||g|| <= _STATIONARY ||z||.  A power of two, so
+# scaling the problem by a power of two leaves every comparison bitwise the same.
+_STATIONARY = 2.0**-50
 # Screening thresholds alpha_l, alpha_u, alpha_h, alpha_h', fixed like mu.
 _ALPHA_L, _ALPHA_U, _ALPHA_H, _ALPHA_H_PRIME = 0.3, 5.0, 12.0, 5.0
 
@@ -361,13 +363,15 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
         gradient, n_kept, stat = gradient_fn(ensemble, y, z, cfg)
         kept.append(n_kept)
         stats.append(stat)
+        stationary = _norm(gradient) <= _STATIONARY * _norm(z)
         if not cfg.fixed_iterations:  # the stop test needs each error now
             errors.append(relative_error(z, x))
-            if errors[-1] <= cfg.success_tol or _norm(gradient) <= _GRADIENT_FLOOR:
+            if errors[-1] <= cfg.success_tol or stationary:
                 break
         if t == cfg.max_iters:
             break
-        z = z - mu * gradient
+        if not stationary:  # held: the next pass meets a cycle of period 1
+            z = z - mu * gradient
         t += 1
     if cfg.fixed_iterations:  # one call over the visited iterates, in t order
         iterates = np.frombuffer(b"".join(visited), dtype=z.dtype).reshape(len(visited), -1)

@@ -62,13 +62,13 @@ GOLDEN = {
     "grid": (
         ["phase-grid", "--n", "16,24", "--m-over-n", "3,6", "--trials", "2",
          "--algos", ALGOS, "--s", "0.05", "--no-fixed-T", "--max-iters", "200"],
-        "f19be831f0dd9ec62ad0f4d5da0922c17d1d507e884ae1ea7e9dd3b520ef6e56",
+        "9a4ee381c3f7bc3d62da61c2797b3714f35d6a551afb9411d9fbebced4331fd9",
     ),
     "sweep": (
         ["outlier-sweep", "--n", "16", "--m-over-n", "8", "--trials", "2",
          "--algos", ALGOS, "--s", "0.05,0.2", "--eta-max-rel", "1,1e200",
          "--max-iters", "80", "--threads", "2"],
-        "d3d85c138635adc8a3eed08f1583429532dd5da03e5014735837c4d348e0ff3c",
+        "7dc01485880f796a9f7bcc47163ec01f2035c95803a069e8e2f1859817989ffe",
     ),
     "noise": (
         ["noise-curve", "--n", "16", "--m-over-n", "8", "--trials", "2",
@@ -85,13 +85,13 @@ GOLDEN = {
         ["outlier-sweep", "--n", "64", "--m-over-n", "8", "--s", "0.1",
          "--eta-max-rel", "1", "--algos", "median-twf,median-rwf", "--trials", "2",
          "--max-iters", "500"],
-        "af5d039025653d5cc44cae91a21d3680f5f2a81dd39e0c402e9433085a9368d6",
+        "dda6d19339c2da6c3e1dc5032c8ad9b84b3f649697b89dd5ad4db48276f96b2a",
     ),
     "noise-replay": (
         ["noise-curve", "--n", "64", "--m-over-n", "8", "--trials", "1",
          "--algos", "median-twf,median-rwf,twf", "--s", "0.1", "--w-max-rel", "0.01,0",
          "--max-iters", "500"],
-        "84143ddfc4372628fbd9a6f4d4e6d77f60737f70594c091a93d02dd8187e4035",
+        "0a6ca00cd96ac8b68d9e15f9556ae20bc5c91b7b692b667fa5d0db8340655050",
     ),
 }
 PER_ITERATION_COMMANDS = ("noise-curve", "poisson")

@@ -402,7 +402,10 @@ MEDIAN_INIT = {Algorithm.MEDIAN_TWF, Algorithm.MEDIAN_RWF, Algorithm.TRIMEAN_TWF
 
 
 def _reference_run(problem, cfg):
-    """run_solver's loop with every iterate computed: no cycle replay."""
+    """run_solver's loop with every iterate computed, a stationary iterate
+    (||g|| <= 2^-50 ||z||) held in place rather than stepped.  Returns the
+    trace's columns, the final iterate, ``converged_at`` and the first
+    stationary t (None if no iterate was stationary)."""
     init_fn = median_spectral_init if cfg.algorithm in MEDIAN_INIT else mean_spectral_init
     init = init_fn(
         problem.ensemble, problem.measurements.y,
@@ -410,20 +413,22 @@ def _reference_run(problem, cfg):
     )
     gradient_fn = getattr(solvers_module, GRADIENT_NAMES[cfg.algorithm])
     x, z = problem.signal, init.z0
-    columns, converged_at = [], None
+    columns, converged_at, held_at = [], None, None
     for t in range(cfg.max_iters + 1):
         err = min(np.linalg.norm(z - x), np.linalg.norm(z + x)) / np.linalg.norm(x)
         gradient, kept, stat = gradient_fn(problem.ensemble, problem.measurements.y, z, cfg)
-        g_norm = np.linalg.norm(gradient)
-        columns.append((err, kept, stat, g_norm))
+        stationary = np.linalg.norm(gradient) <= 2.0**-50 * np.linalg.norm(z)
+        columns.append((err, kept, stat))
         if converged_at is None and err <= cfg.success_tol:
             converged_at = t
-        if not cfg.fixed_iterations and (converged_at is not None or g_norm <= 1e-14):
+        if held_at is None and stationary:
+            held_at = t
+        if not cfg.fixed_iterations and (converged_at is not None or stationary):
             break
-        if t < cfg.max_iters:
+        if t < cfg.max_iters and not stationary:
             z = z - cfg.step_size * gradient
-    errors, kept, stats, g_norms = (np.array(c) for c in zip(*columns))
-    return errors, kept.astype(np.int64), stats, g_norms, z, converged_at
+    errors, kept, stats = (np.array(c) for c in zip(*columns))
+    return errors, kept.astype(np.int64), stats, z, converged_at, held_at
 
 
 def _scaled(problem, c):
@@ -443,32 +448,8 @@ REPLAY_PROBLEM = dict(
 )
 
 
-@pytest.mark.parametrize(
-    "algorithm, fixed, scale, tol, period",
-    [
-        # median-RWF reaches a bitwise fixed point.
-        (Algorithm.MEDIAN_RWF, True, 1.0, 1e-8, 1),
-        # median-TWF ends in a cycle of two iterates.
-        (Algorithm.MEDIAN_TWF, True, 1.0, 1e-8, 2),
-        # Early stopping on: the same cycle scaled by 2^40 keeps every
-        # gradient norm above the 1e-14 floor, and no error reaches a
-        # 1e-20 tolerance, so the run cycles instead of stopping.
-        (Algorithm.MEDIAN_TWF, False, 2.0**40, 1e-20, 2),
-    ],
-)
-def test_cycle_replay_matches_full_recomputation(
-    algorithm, fixed, scale, tol, period, monkeypatch
-):
-    problem = _scaled(generate_problem(**REPLAY_PROBLEM), scale)
-    cfg = SolverConfig(
-        algorithm=algorithm, max_iters=500, fixed_iterations=fixed, success_tol=tol
-    )
-    errors, kept, stats, g_norms, final_z, converged_at = _reference_run(problem, cfg)
-    assert len(errors) == cfg.max_iters + 1
-    # The reference trace really ends in a cycle of the expected period.
-    assert errors[-period:].tobytes() == errors[-2 * period : -period].tobytes()
-    assert fixed or min(g_norms) > 1e-14
-
+def _counting_gradient(monkeypatch, algorithm):
+    """Wrap an algorithm's gradient; returns the list its calls append to."""
     name = GRADIENT_NAMES[algorithm]
     original, calls = getattr(solvers_module, name), []
 
@@ -477,6 +458,19 @@ def test_cycle_replay_matches_full_recomputation(
         return original(*args)
 
     monkeypatch.setattr(solvers_module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.MEDIAN_RWF, Algorithm.MEDIAN_TWF])
+def test_cycle_replay_matches_full_recomputation(algorithm, monkeypatch):
+    problem = generate_problem(**REPLAY_PROBLEM)
+    cfg = SolverConfig(algorithm=algorithm, max_iters=500, fixed_iterations=True)
+    errors, kept, stats, final_z, converged_at, _ = _reference_run(problem, cfg)
+    assert len(errors) == cfg.max_iters + 1
+    # The hold ends the reference trace in a cycle of period 1.
+    assert errors[-1:].tobytes() == errors[-2:-1].tobytes()
+
+    calls = _counting_gradient(monkeypatch, algorithm)
     trace = run_solver(problem, cfg)
     assert len(calls) < cfg.max_iters + 1  # the tail was replayed, not recomputed
     assert trace.errors.tobytes() == errors.tobytes()
@@ -484,6 +478,41 @@ def test_cycle_replay_matches_full_recomputation(
     assert trace.median_stat.tobytes() == stats.tobytes()
     assert trace.final_z.tobytes() == final_z.tobytes()
     assert trace.converged_at == converged_at
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.MEDIAN_RWF, Algorithm.MEDIAN_TWF])
+def test_a_held_fixed_budget_trace_repeats_the_held_row(algorithm, monkeypatch):
+    problem = generate_problem(**REPLAY_PROBLEM)
+    cfg = SolverConfig(algorithm=algorithm, max_iters=500, fixed_iterations=True)
+    *_, held_final_z, _, held_at = _reference_run(problem, cfg)
+    assert held_at is not None and held_at < cfg.max_iters
+
+    calls = _counting_gradient(monkeypatch, algorithm)
+    trace = run_solver(problem, cfg)
+    assert len(calls) == held_at + 1  # no gradient after the hold
+    assert trace.iterations == cfg.max_iters
+    for column in (trace.errors, trace.kept, trace.median_stat):
+        assert len(column) == cfg.max_iters + 1
+        held_rows = np.repeat(column[held_at : held_at + 1], cfg.max_iters + 1 - held_at)
+        assert column[held_at:].tobytes() == held_rows.tobytes()
+    assert trace.final_z.tobytes() == held_final_z.tobytes()
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["early-stop", "fixed-T"])
+@pytest.mark.parametrize("algorithm", [Algorithm.MEDIAN_TWF, Algorithm.MEDIAN_RWF])
+def test_runs_are_bitwise_invariant_under_power_of_two_scaling(algorithm, fixed):
+    # A 1e-20 tolerance is never met, so an early-stop run ends on the
+    # stationarity rule, which must trip at the same t in every unit.
+    problem = generate_problem(**REPLAY_PROBLEM)
+    cfg = SolverConfig(algorithm=algorithm, success_tol=1e-20, fixed_iterations=fixed)
+    base = run_solver(problem, cfg)
+    assert fixed or base.iterations < cfg.max_iters
+    for c in (2.0**-40, 2.0**40):
+        scaled = run_solver(_scaled(problem, c), cfg)
+        assert scaled.errors.tobytes() == base.errors.tobytes()
+        assert scaled.kept.tobytes() == base.kept.tobytes()
+        assert scaled.iterations == base.iterations
+        assert scaled.final_z.tobytes() == (c * base.final_z).tobytes()
 
 
 CONVERGING_PROBLEM = dict(n=64, m=512, spec=CorruptionSpec(), master_seed=1)
@@ -498,7 +527,7 @@ def _trimmed_if_needed(algorithm, **kw):
 def test_fixed_budget_errors_after_the_loop_match_the_reference(algorithm):
     problem = generate_problem(**CONVERGING_PROBLEM)
     cfg = _trimmed_if_needed(algorithm, fixed_iterations=True)
-    errors, kept, stats, g_norms, final_z, converged_at = _reference_run(problem, cfg)
+    errors, kept, stats, final_z, converged_at, _ = _reference_run(problem, cfg)
     trace = run_solver(problem, cfg)
     assert converged_at is not None
     assert trace.errors.tobytes() == errors.tobytes()
