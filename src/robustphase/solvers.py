@@ -90,7 +90,8 @@ class SolverConfig:
     alpha_u = 5, alpha_h = 12, alpha_h' = 5; the init's alpha_y = 3) are
     fixed, not configured.  ``fixed_iterations`` disables early stopping
     so traces always reach ``max_iters``, which the experiment harness
-    uses for figure-style convergence curves.
+    uses for figure-style convergence curves; a stationary iterate
+    (``||g|| <= 2^-50 ||z||``) then holds instead of stopping the run.
     """
 
     algorithm: Algorithm
@@ -123,8 +124,10 @@ class IterateTrace:
     Arrays are aligned: entry t holds the relative error of z_t together
     with the truncation-set size and screening statistic (K_t, M_t, or the
     mean/trimmed-mean stand-in; reported but unused for plain RWF)
-    evaluated at z_t.  ``converged_at`` is the first iterate whose error
-    reached the success tolerance, whether or not the run stopped there.
+    evaluated at z_t.  In a fixed-iteration run the rows after a held
+    (stationary) iterate repeat its row, and ``final_z`` is that iterate.
+    ``converged_at`` is the first iterate whose error reached the success
+    tolerance, whether or not the run stopped there.
     """
 
     errors: np.ndarray
@@ -333,61 +336,47 @@ def _initialize(problem: ProblemInstance, cfg: SolverConfig) -> InitResult:
 def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
     """Initialize and iterate one solver on one problem instance.
 
-    Early stopping (on reaching ``success_tol`` or a vanishing gradient) is
-    on by default and can be disabled via ``cfg.fixed_iterations``; either
-    way the trace records every visited iterate, so its length is at most
-    ``max_iters`` + 1.  Measurements too degenerate to initialize from
-    (all-zero y, say) raise ``DegenerateMeasurements`` from the init.
-    With ``fixed_iterations`` no stop test reads an error, so one
-    ``relative_error`` call over the stacked visited iterates gives them all
-    after the loop.
-
-    On fixed data one step is a deterministic function of the iterate, so
-    once z_t equals an earlier z_s bit for bit, iterates s..t-1 repeat with
-    period t - s until the budget runs out (none of them stopped the run
-    early, so no later copy can).  The rest of the trace is then copied
-    from that cycle instead of recomputed; the result is the same bytes.
+    An iterate is stationary when its gradient has vanished to rounding
+    level, ``||g|| <= 2^-50 ||z||``; its step would be zero in exact
+    arithmetic.  With early stopping (the default) the run stops at the
+    first iterate that reaches ``success_tol`` or is stationary.  With
+    ``cfg.fixed_iterations`` no error stops it: a stationary iterate is
+    held, and its row repeats up to ``max_iters``, so the trace always has
+    ``max_iters`` + 1 rows and ``final_z`` is the held iterate.  No stop
+    test then reads an error, so one ``relative_error`` call over the
+    stacked iterates gives them all after the loop.  Measurements too
+    degenerate to initialize from (all-zero y, say) raise
+    ``DegenerateMeasurements`` from the init.
     """
     x, ensemble, y = problem.signal, problem.ensemble, problem.measurements.y
     gradient_fn, _, mu = _recipe(cfg.algorithm)
     z = _initialize(problem, cfg).z0
+    iterates: list[np.ndarray] = []
     errors: list[float] = []
     kept: list[int] = []
     stats: list[float] = []
-    visited: dict[bytes, int] = {}  # iterate bytes -> first t; in t order
-    t = 0
-    while True:
-        cycle_start = visited.setdefault(z.tobytes(), t)
-        if cycle_start != t:
-            break
+    for t in range(cfg.max_iters + 1):
         gradient, n_kept, stat = gradient_fn(ensemble, y, z, cfg)
         kept.append(n_kept)
         stats.append(stat)
-        stationary = _norm(gradient) <= _STATIONARY * _norm(z)
-        if not cfg.fixed_iterations:  # the stop test needs each error now
+        if cfg.fixed_iterations:  # errors come from one call after the loop
+            iterates.append(z)
+        else:  # the stop test needs each error now
             errors.append(relative_error(z, x))
-            if errors[-1] <= cfg.success_tol or stationary:
+            if errors[-1] <= cfg.success_tol:
                 break
-        if t == cfg.max_iters:
+        if t == cfg.max_iters or _norm(gradient) <= _STATIONARY * _norm(z):
             break
-        if not stationary:  # held: the next pass meets a cycle of period 1
-            z = z - mu * gradient
-        t += 1
-    if cfg.fixed_iterations:  # one call over the visited iterates, in t order
-        iterates = np.frombuffer(b"".join(visited), dtype=z.dtype).reshape(len(visited), -1)
-        errors = relative_error(iterates, x)
+        z = z - mu * gradient
+    if cfg.fixed_iterations:  # hold the last iterate to the budget
+        for column in (iterates, kept, stats):
+            column += column[-1:] * (cfg.max_iters + 1 - len(column))
+        errors = relative_error(np.stack(iterates), x)
     hits = np.flatnonzero(np.asarray(errors) <= cfg.success_tol)
-    converged_at = int(hits[0]) if len(hits) else None
-    order = slice(None)
-    if cycle_start != t:  # z_t == z_s: fill t..max_iters from the cycle s..t-1
-        order = np.arange(cfg.max_iters + 1)
-        order[t:] = cycle_start + order[: cfg.max_iters + 1 - t] % (t - cycle_start)
-        z = np.frombuffer(list(visited)[order[-1]], dtype=z.dtype).copy()
     return IterateTrace(
-        errors=np.array(errors)[order],
-        kept=np.array(kept, dtype=np.int64)[order],
-        median_stat=np.array(stats)[order],
+        errors=np.array(errors),
+        kept=np.array(kept, dtype=np.int64),
+        median_stat=np.array(stats),
         final_z=z,
-        converged_at=converged_at,
+        converged_at=int(hits[0]) if len(hits) else None,
     )
-

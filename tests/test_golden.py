@@ -21,12 +21,12 @@ step::
     PYTHONPATH=src python tests/test_golden.py
 
 The two ``*-replay`` commands run the full 500-iteration budget at n=64,
-where median-RWF and median-TWF end in bitwise cycles, so most of their
-traces are copied by ``run_solver``'s cycle replay rather than computed;
-``noise-replay`` writes every iteration's kept count and statistic.
+where median-RWF and median-TWF become stationary (``||g|| <= 2^-50 ||z||``)
+well before the budget; ``run_solver`` then holds the iterate and repeats
+its row instead of computing the rest of the trace.  ``noise-replay``
+writes every iteration's kept count and statistic.
 ``test_replay_commands_copy_their_cycles`` asserts that they compute fewer
-gradients than the budget asks for.  Their hashes match a run with the
-replay switched off, which recomputes every iteration.
+gradients than the budget asks for.
 
 ``test_result_rows_are_failed_or_complete`` holds the summary commands to the
 row contract the benchmark checks: a trial either failed (NaN error, no
@@ -298,11 +298,13 @@ def test_golden_mismatch_names_the_trace_and_t(output):
         assert where in message, message
 
 
-# ------------------------------------------------------------ cycle replay
+# ------------------------------------------------------------ held iterates
 
 
 @pytest.mark.parametrize("name", ["sweep-replay", "noise-replay"])
 def test_replay_commands_copy_their_cycles(name, output):
+    """A held iterate's rows are repeated, not recomputed, so these
+    commands make fewer gradient calls than one per trial and iteration."""
     csv_bytes, calls = output(name)
     argv = GOLDEN[name][0]
     budget = _flag(argv, "--max-iters", 500)

@@ -462,40 +462,25 @@ def _counting_gradient(monkeypatch, algorithm):
 
 
 @pytest.mark.parametrize("algorithm", [Algorithm.MEDIAN_RWF, Algorithm.MEDIAN_TWF])
-def test_cycle_replay_matches_full_recomputation(algorithm, monkeypatch):
-    problem = generate_problem(**REPLAY_PROBLEM)
-    cfg = SolverConfig(algorithm=algorithm, max_iters=500, fixed_iterations=True)
-    errors, kept, stats, final_z, converged_at, _ = _reference_run(problem, cfg)
-    assert len(errors) == cfg.max_iters + 1
-    # The hold ends the reference trace in a cycle of period 1.
-    assert errors[-1:].tobytes() == errors[-2:-1].tobytes()
-
-    calls = _counting_gradient(monkeypatch, algorithm)
-    trace = run_solver(problem, cfg)
-    assert len(calls) < cfg.max_iters + 1  # the tail was replayed, not recomputed
-    assert trace.errors.tobytes() == errors.tobytes()
-    assert trace.kept.tobytes() == kept.tobytes()
-    assert trace.median_stat.tobytes() == stats.tobytes()
-    assert trace.final_z.tobytes() == final_z.tobytes()
-    assert trace.converged_at == converged_at
-
-
-@pytest.mark.parametrize("algorithm", [Algorithm.MEDIAN_RWF, Algorithm.MEDIAN_TWF])
 def test_a_held_fixed_budget_trace_repeats_the_held_row(algorithm, monkeypatch):
     problem = generate_problem(**REPLAY_PROBLEM)
     cfg = SolverConfig(algorithm=algorithm, max_iters=500, fixed_iterations=True)
-    *_, held_final_z, _, held_at = _reference_run(problem, cfg)
+    errors, kept, stats, final_z, converged_at, held_at = _reference_run(problem, cfg)
     assert held_at is not None and held_at < cfg.max_iters
 
     calls = _counting_gradient(monkeypatch, algorithm)
     trace = run_solver(problem, cfg)
     assert len(calls) == held_at + 1  # no gradient after the hold
     assert trace.iterations == cfg.max_iters
-    for column in (trace.errors, trace.kept, trace.median_stat):
+    for column, reference in (
+        (trace.errors, errors), (trace.kept, kept), (trace.median_stat, stats),
+    ):
         assert len(column) == cfg.max_iters + 1
         held_rows = np.repeat(column[held_at : held_at + 1], cfg.max_iters + 1 - held_at)
         assert column[held_at:].tobytes() == held_rows.tobytes()
-    assert trace.final_z.tobytes() == held_final_z.tobytes()
+        assert column.tobytes() == reference.tobytes()  # the rows a full loop computes
+    assert trace.final_z.tobytes() == final_z.tobytes()
+    assert trace.converged_at == converged_at
 
 
 @pytest.mark.parametrize("fixed", [False, True], ids=["early-stop", "fixed-T"])
