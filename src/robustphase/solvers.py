@@ -368,10 +368,10 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
         if t == cfg.max_iters or _norm(gradient) <= _STATIONARY * _norm(z):
             break
         z = z - mu * gradient
-    if cfg.fixed_iterations:  # hold the last iterate to the budget
-        for column in (iterates, kept, stats):
+    if cfg.fixed_iterations:  # one error call; a held iterate's row repeats to the budget
+        errors = relative_error(np.stack(iterates), x).tolist()
+        for column in (errors, kept, stats):
             column += column[-1:] * (cfg.max_iters + 1 - len(column))
-        errors = relative_error(np.stack(iterates), x)
     hits = np.flatnonzero(np.asarray(errors) <= cfg.success_tol)
     return IterateTrace(
         errors=np.array(errors),
