@@ -443,13 +443,18 @@ def _scaled(problem, c):
     )
 
 
-REPLAY_PROBLEM = dict(
+OUTLIER_PROBLEM = dict(
     n=64, m=512, spec=CorruptionSpec(outlier_fraction=0.1, eta_max_rel=1.0), master_seed=1
 )
 
 
-def _counting_gradient(monkeypatch, algorithm):
-    """Wrap an algorithm's gradient; returns the list its calls append to."""
+@pytest.mark.parametrize("algorithm", [Algorithm.MEDIAN_RWF, Algorithm.MEDIAN_TWF])
+def test_a_held_fixed_budget_trace_repeats_the_held_row(algorithm, monkeypatch):
+    problem = generate_problem(**OUTLIER_PROBLEM)
+    cfg = SolverConfig(algorithm=algorithm, max_iters=500, fixed_iterations=True)
+    errors, kept, stats, final_z, converged_at, held_at = _reference_run(problem, cfg)
+    assert held_at is not None and held_at < cfg.max_iters
+
     name = GRADIENT_NAMES[algorithm]
     original, calls = getattr(solvers_module, name), []
 
@@ -458,17 +463,6 @@ def _counting_gradient(monkeypatch, algorithm):
         return original(*args)
 
     monkeypatch.setattr(solvers_module, name, counting)
-    return calls
-
-
-@pytest.mark.parametrize("algorithm", [Algorithm.MEDIAN_RWF, Algorithm.MEDIAN_TWF])
-def test_a_held_fixed_budget_trace_repeats_the_held_row(algorithm, monkeypatch):
-    problem = generate_problem(**REPLAY_PROBLEM)
-    cfg = SolverConfig(algorithm=algorithm, max_iters=500, fixed_iterations=True)
-    errors, kept, stats, final_z, converged_at, held_at = _reference_run(problem, cfg)
-    assert held_at is not None and held_at < cfg.max_iters
-
-    calls = _counting_gradient(monkeypatch, algorithm)
     trace = run_solver(problem, cfg)
     assert len(calls) == held_at + 1  # no gradient after the hold
     assert trace.iterations == cfg.max_iters
@@ -488,7 +482,7 @@ def test_a_held_fixed_budget_trace_repeats_the_held_row(algorithm, monkeypatch):
 def test_runs_are_bitwise_invariant_under_power_of_two_scaling(algorithm, fixed):
     # A 1e-20 tolerance is never met, so an early-stop run ends on the
     # stationarity rule, which must trip at the same t in every unit.
-    problem = generate_problem(**REPLAY_PROBLEM)
+    problem = generate_problem(**OUTLIER_PROBLEM)
     cfg = SolverConfig(algorithm=algorithm, success_tol=1e-20, fixed_iterations=fixed)
     base = run_solver(problem, cfg)
     assert fixed or base.iterations < cfg.max_iters
