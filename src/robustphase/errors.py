@@ -1,16 +1,24 @@
-"""Exception taxonomy and input checks shared by every module in the package.
+"""Exception taxonomy and the input rules every module in the package shares.
 
 Three failure classes cover the whole pipeline:
 
 * bad arguments that violate a documented precondition,
 * numerical routines that fail to reach their stated tolerance,
 * measurement sets too degenerate to initialize from.
+
+Each input rule is written once, here, and raises InvalidInputError: an
+enum choice, a count (>= 1, or >= 0 for a seed), a finite positive or
+nonnegative value, an outlier fraction in [0, 0.5), and an array.  NaN
+fails every bound.
 """
 
+import math
 from enum import Enum
 from numbers import Integral
 
 import numpy as np
+
+__all__ = ["RobustPhaseError", "InvalidInputError", "NumericalFailure", "DegenerateMeasurements"]
 
 
 class RobustPhaseError(Exception):
@@ -40,17 +48,29 @@ def _parse_choice(kind: type[Enum], value) -> Enum:
         ) from None
 
 
-def _require_count(value, what: str) -> None:
-    """Raise InvalidInputError unless ``value`` is an integer >= 1 (3.0 is not)."""
-    if not isinstance(value, Integral) or value < 1:
-        raise InvalidInputError(f"{what} must be an integer >= 1, got {value!r}")
+def _require_count(value, what: str, least: int = 1) -> None:
+    """Raise InvalidInputError unless ``value`` is an integer >= ``least``
+    (3.0 is not); a seed is a count with ``least=0``."""
+    if not isinstance(value, Integral) or value < least:
+        raise InvalidInputError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
-def _require_seed(*values) -> None:
-    """Raise InvalidInputError unless every value is an integer >= 0 (1.5 is not)."""
-    for value in values:
-        if not isinstance(value, Integral) or value < 0:
-            raise InvalidInputError(f"seed must be an integer >= 0, got {value!r}")
+def _require_positive(value, what: str) -> None:
+    """Raise InvalidInputError unless ``value`` is finite and > 0."""
+    if not 0.0 < value < math.inf:
+        raise InvalidInputError(f"{what} must be finite and positive, got {value}")
+
+
+def _require_nonnegative(value, what: str) -> None:
+    """Raise InvalidInputError unless ``value`` is finite and >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise InvalidInputError(f"{what} must be finite and nonnegative, got {value}")
+
+
+def _require_fraction(value, what: str) -> None:
+    """Raise InvalidInputError unless ``value`` lies in [0, 0.5)."""
+    if not 0.0 <= value < 0.5:
+        raise InvalidInputError(f"{what} must lie in [0, 0.5), got {value}")
 
 
 def _vector(values, what: str, length: int | None = None, *, finite: bool = False) -> np.ndarray:

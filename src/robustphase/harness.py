@@ -21,19 +21,20 @@ leaves its worker as one trace of arrays; the parent formats its rows.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 from .errors import InvalidInputError, RobustPhaseError, _parse_choice
-from .errors import _require_count, _require_seed
+from .errors import _require_count, _require_fraction, _require_nonnegative, _require_positive
 from .metrics import is_success
 from .model import CorruptionSpec, OutlierModel, derive_seed, generate_problem
 from .solvers import Algorithm, IterateTrace, SolverConfig, run_solver
 
 __all__ = [
+    "ALGORITHM_CODES",
+    "EXPERIMENTS",
     "ExperimentConfig",
     "TrialCell",
     "ResultRow",
@@ -86,8 +87,8 @@ class ExperimentConfig:
     threads: int = 1
     out: str = ""
     fixed_T: bool = True
-    max_iters: int = 500
-    tol: float = 1e-8
+    max_iters: int = SolverConfig.max_iters
+    tol: float = SolverConfig.success_tol
     timing: bool = False
 
     def __post_init__(self) -> None:
@@ -95,26 +96,24 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown experiment {self.experiment!r}")
         _require_count(self.trials, "trials")
         _require_count(self.threads, "threads")
-        _require_seed(self.master_seed)
+        _require_count(self.master_seed, "seed", least=0)
         _require_count(self.max_iters, "max_iters")
-        if not 0.0 < self.tol < math.inf:
-            raise InvalidInputError(f"tol must be finite and positive, got {self.tol}")
+        _require_positive(self.tol, "tol")
         if (self.m_values is None) == (self.m_over_n is None):
             raise InvalidInputError("exactly one of an m grid and an m/n grid is required")
-        if not self.n_values or (self.m_values is not None and not self.m_values):
-            raise InvalidInputError("n and m grids must be nonempty")
-        for what, grid in (("n", self.n_values), ("m", self.m_values or ())):
-            for count in grid:
-                _require_count(count, what)
-        ratios = self.m_over_n
-        if ratios is not None and not (ratios and all(0.0 < r < math.inf for r in ratios)):
-            raise InvalidInputError("m/n grid must be nonempty with finite, positive ratios")
-        if not (self.algorithms and self.s_values and self.eta_values and self.w_values):
-            raise InvalidInputError("algorithm, s, eta, and w grids must be nonempty")
-        if not all(0.0 <= s < 0.5 for s in self.s_values):
-            raise InvalidInputError(f"outlier fractions must lie in [0, 0.5): {self.s_values}")
-        if not all(0.0 <= v < math.inf for v in (*self.eta_values, *self.w_values)):
-            raise InvalidInputError("eta and w magnitudes must be finite and nonnegative")
+        if not all((self.n_values, self.m_values or self.m_over_n, self.algorithms,
+                    self.s_values, self.eta_values, self.w_values)):
+            raise InvalidInputError("n, m, algorithm, s, eta and w grids must be nonempty")
+        for rule, what, grid in (
+            (_require_count, "n", self.n_values),
+            (_require_count, "m", self.m_values or ()),
+            (_require_positive, "m/n ratio", self.m_over_n or ()),
+            (_require_fraction, "outlier fraction", self.s_values),
+            (_require_nonnegative, "eta_max_rel", self.eta_values),
+            (_require_nonnegative, "w_max_rel", self.w_values),
+        ):
+            for value in grid:
+                rule(value, what)
         per_iteration = EXPERIMENTS[self.experiment].per_iteration
         for dropped, what in (  # values the experiment's cells would never read
             (not per_iteration and len(self.w_values) > 1, "more than one w_max_rel value"),

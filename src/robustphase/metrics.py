@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, _vector
+from .errors import InvalidInputError, _require_positive, _vector
 from .model import SensingEnsemble
 
 __all__ = [
@@ -47,10 +47,9 @@ def relative_error(z, x) -> float | np.ndarray:
     return np.where(pn < dn, pn, dn) / x_norm  # min(dn, pn), NaN included
 
 
-def is_success(outcome_error: float, tol: float = 1e-8) -> bool:
+def is_success(outcome_error: float, tol: float) -> bool:
     """Success test, inclusive at the boundary."""
-    if not 0.0 < tol < math.inf:
-        raise InvalidInputError(f"tolerance must be finite and positive, got {tol}")
+    _require_positive(tol, "tolerance")
     return outcome_error <= tol
 
 

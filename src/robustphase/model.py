@@ -23,13 +23,13 @@ outlier placement, outlier values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, _parse_choice, _require_count, _require_seed, _vector
+from .errors import InvalidInputError, _parse_choice, _require_count, _require_fraction
+from .errors import _require_nonnegative, _require_positive, _vector
 
 __all__ = [
     "TAG_SIGNAL",
@@ -63,13 +63,14 @@ def derive_seed(*components: int) -> int:
     the derivation is stable across platforms and independent of call order
     elsewhere in the program.  Every component must be an integer >= 0.
     """
-    _require_seed(*components)
+    for c in components:
+        _require_count(c, "seed", least=0)
     ss = np.random.SeedSequence(tuple(int(c) for c in components))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _rng(seed: int, _bits=np.random.Philox) -> np.random.Generator:
-    _require_seed(seed)
+    _require_count(seed, "seed", least=0)
     return np.random.Generator(_bits(np.random.SeedSequence(int(seed))))
 
 
@@ -145,12 +146,9 @@ class CorruptionSpec:
     poisson: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.outlier_fraction < 0.5:
-            raise InvalidInputError(
-                f"outlier fraction must lie in [0, 0.5), got {self.outlier_fraction}"
-            )
-        if not (0.0 <= self.eta_max_rel < math.inf and 0.0 <= self.w_max_rel < math.inf):
-            raise InvalidInputError("corruption magnitudes must be finite and nonnegative")
+        _require_fraction(self.outlier_fraction, "outlier fraction")
+        _require_nonnegative(self.eta_max_rel, "eta_max_rel")
+        _require_nonnegative(self.w_max_rel, "w_max_rel")
         # Input validation: plain strings coerce to the enum, unknown ones raise.
         object.__setattr__(self, "outlier_model", _parse_choice(OutlierModel, self.outlier_model))
 
@@ -207,8 +205,8 @@ def apply_corruption(
         and spec.outlier_model
         in (OutlierModel.UNIFORM, OutlierModel.INTEGER_UNIFORM)
     )
-    if needs_scale and not 0.0 < x_norm < math.inf:
-        raise InvalidInputError("x_norm must be finite and positive for relative magnitudes")
+    if needs_scale:
+        _require_positive(x_norm, "x_norm")
 
     rng = _rng(seed)
     signal_power = float(x_norm) ** 2

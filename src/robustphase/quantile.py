@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailure, _vector
+from .errors import InvalidInputError, NumericalFailure, _require_positive, _vector
 
 __all__ = [
     "sample_quantile",
@@ -186,8 +186,7 @@ def product_gaussian_median(rho: float, tol: float = 1e-6) -> float:
     """
     if not -1.0 <= rho <= 1.0:
         raise InvalidInputError(f"correlation must lie in [-1, 1], got {rho}")
-    if not 0.0 < tol < math.inf:
-        raise InvalidInputError(f"tolerance must be finite and positive, got {tol}")
+    _require_positive(tol, "tolerance")
     lo, hi = 1e-4, 2.0
     flo = product_gaussian_cdf(lo, rho) - 0.5
     fhi = product_gaussian_cdf(hi, rho) - 0.5

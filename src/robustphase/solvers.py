@@ -45,7 +45,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, _parse_choice, _require_count, _vector
+from .errors import InvalidInputError, _parse_choice, _require_count, _require_fraction
+from .errors import _require_positive, _vector
 from .metrics import _norm, relative_error
 from .model import TAG_INIT, ProblemInstance, SensingEnsemble, derive_seed
 from .quantile import _rank, sample_median
@@ -103,12 +104,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "algorithm", _parse_choice(Algorithm, self.algorithm))
         _require_count(self.max_iters, "iteration budget")
-        if not 0.0 < self.success_tol < math.inf:  # NaN fails too
-            raise InvalidInputError(
-                f"success tolerance must be finite and positive, got {self.success_tol}"
-            )
-        if self.known_s is not None and not 0.0 <= self.known_s < 0.5:
-            raise InvalidInputError(f"known_s must lie in [0, 0.5), got {self.known_s}")
+        _require_positive(self.success_tol, "success tolerance")
+        if self.known_s is not None:
+            _require_fraction(self.known_s, "known_s")
         if self.algorithm is Algorithm.TRIMEAN_TWF and self.known_s is None:
             raise InvalidInputError("trimean-twf requires known_s")
 
@@ -150,12 +148,10 @@ def _gaussian_second_moment_below(t: float) -> float:
     return math.erf(t / math.sqrt(2.0)) - t * math.sqrt(2.0 / math.pi) * math.exp(-t * t / 2.0)
 
 
-def validate_twf_params(
-    *, alpha_l: float = _ALPHA_L, alpha_u: float = _ALPHA_U,
-    alpha_h: float = _ALPHA_H, alpha_y: float = _ALPHA_Y,
-) -> tuple[float, float, bool]:
-    """Check the intensity-family threshold condition, by default at the
-    thresholds the solvers use.
+def validate_twf_params() -> tuple[float, float, bool]:
+    """Check the intensity-family threshold condition at the fixed thresholds
+    the solvers and the init use: ``_ALPHA_L``, ``_ALPHA_U``, ``_ALPHA_H`` and
+    ``spectral._ALPHA_Y``.  Nothing else can set them, so it takes no arguments.
 
     Computes, for xi ~ N(0,1) and the event
     B = {|xi| < sqrt(1.01) alpha_l or |xi| > sqrt(0.99) alpha_u},
@@ -167,25 +163,15 @@ def validate_twf_params(
 
         2 (zeta1 + zeta2) + sqrt(8/pi) / alpha_h < 1.99   and   alpha_y >= 3.
 
-    Report-only: an invalid combination is returned, never raised.
+    Report-only: a failed condition is returned, never raised.
     """
-    a = math.sqrt(1.01) * alpha_l
-    b = math.sqrt(0.99) * alpha_u
-    if a >= b:
-        # The two half-events overlap, so B is almost sure.
-        zeta1 = 1.0
-    else:
-        moment = _gaussian_second_moment_below(a) + (
-            1.0 - _gaussian_second_moment_below(b)
-        )
-        prob = math.erf(a / math.sqrt(2.0)) + (1.0 - math.erf(b / math.sqrt(2.0)))
-        zeta1 = max(moment, prob)
-    c = 0.248 * alpha_h
-    zeta2 = 1.0 - _gaussian_second_moment_below(c)
-    holds = (
-        2.0 * (zeta1 + zeta2) + math.sqrt(8.0 / math.pi) / alpha_h < 1.99
-        and alpha_y >= 3.0
-    )
+    a = math.sqrt(1.01) * _ALPHA_L
+    b = math.sqrt(0.99) * _ALPHA_U
+    moment = _gaussian_second_moment_below(a) + (1.0 - _gaussian_second_moment_below(b))
+    prob = math.erf(a / math.sqrt(2.0)) + (1.0 - math.erf(b / math.sqrt(2.0)))
+    zeta1 = max(moment, prob)
+    zeta2 = 1.0 - _gaussian_second_moment_below(0.248 * _ALPHA_H)
+    holds = 2.0 * (zeta1 + zeta2) + math.sqrt(8.0 / math.pi) / _ALPHA_H < 1.99 and _ALPHA_Y >= 3.0
     return zeta1, zeta2, holds
 
 

@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMeasurements, InvalidInputError, NumericalFailure
-from .errors import _require_count, _vector
+from .errors import DegenerateMeasurements, NumericalFailure
+from .errors import _require_count, _require_positive, _vector
 from .model import SensingEnsemble, _rng
 from .quantile import sample_median
 
@@ -108,8 +108,7 @@ def leading_eigenvector(
     Returns:
         (unit vector, operator applications, converged flag).
     """
-    if not 0.0 < tol < math.inf:
-        raise InvalidInputError(f"tolerance must be finite and positive, got {tol}")
+    _require_positive(tol, "tolerance")
     _require_count(n, "n")
     _require_count(max_iters, "max_iters")
     v = _rng(seed).standard_normal(n)

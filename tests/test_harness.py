@@ -6,6 +6,7 @@ generous margins only where a different BLAS could plausibly flip a
 borderline trial.
 """
 
+import ast
 import csv
 import importlib
 import io
@@ -859,12 +860,33 @@ def test_main_raises_system_exit(tmp_path, monkeypatch):
 # ---------------------------------------------------------- package surface
 
 
+def _defined_public_names(source: str) -> set[str]:
+    """Top-level public functions, classes and UPPER_CASE constants."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and n.id.isupper()
+            )
+    return {n for n in names if not n.startswith("_")}
+
+
 def test_package_reexports_every_public_name():
-    """Every module ``__all__`` outside the harness is reachable from the package."""
-    for name in ("model", "metrics", "quantile", "solvers", "spectral"):
-        module = importlib.import_module(f"robustphase.{name}")
-        missing = [n for n in module.__all__ if not hasattr(robustphase, n)]
-        assert not missing, f"robustphase does not re-export {name}: {missing}"
+    """Every public name a module defines is in its ``__all__``, and every
+    ``__all__`` outside the harness is reachable from the package."""
+    paths = sorted(Path(robustphase.__file__).parent.glob("[!_]*.py"))
+    assert "errors" in [p.stem for p in paths] and "harness" in [p.stem for p in paths]
+    for path in paths:
+        module = importlib.import_module(f"robustphase.{path.stem}")
+        unlisted = sorted(_defined_public_names(path.read_text()) - set(module.__all__))
+        assert not unlisted, f"robustphase.{path.stem} leaves {unlisted} out of __all__"
+        if path.stem != "harness":
+            missing = [n for n in module.__all__ if not hasattr(robustphase, n)]
+            assert not missing, f"robustphase does not re-export {path.stem}: {missing}"
     for gone in ("Placement", "problem_to_json", "problem_from_json", "TrialOutcome",
                  "outcome_from_errors", "surrogate_apply", "rc_probe",
                  "residual_median_stats", "dist"):

@@ -97,17 +97,6 @@ def test_validate_twf_params_defaults():
     assert holds
 
 
-def test_validate_twf_params_degenerate_band():
-    zeta1, _, holds = validate_twf_params(alpha_l=2.0, alpha_u=2.0)
-    assert zeta1 == 1.0
-    assert not holds
-
-
-def test_validate_twf_params_huge_alpha_h():
-    _, zeta2, _ = validate_twf_params(alpha_h=1e6)
-    assert zeta2 < 1e-12
-
-
 # --------------------------------------------------------- gradient examples
 
 
