@@ -220,9 +220,8 @@ def _execute(tasks: list[tuple], threads: int) -> list:
     # With fork, the pool starts every worker at the first submit, so never
     # ask for more workers than there are tasks.
     workers = min(threads, len(tasks))
-    chunk = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_task, tasks, chunksize=chunk))
+        return list(pool.map(_run_task, tasks))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow] | list[_Trial]:
@@ -305,15 +304,15 @@ def _poisson_cells(cfg: ExperimentConfig) -> _Cells:
 
 
 def write_result_csv(rows: list[ResultRow], path: str) -> int:
-    """Write one line per row, floats to 17 significant digits; returns the
-    number of data rows.  No field needs quoting: experiment ids and
-    algorithm names contain no comma, quote or line break."""
+    """Write one line per row, fields declared ``float`` to 17 significant
+    digits; returns the number of data rows.  No field needs quoting:
+    experiment ids and algorithm names contain no comma, quote or line break."""
+    # By declared type (a string: annotations are postponed), so an int eta of 10**20 reads 1e+20.
+    specs = [(f.name, ".17g" if f.type == "float" else "") for f in fields(ResultRow)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(RESULT_HEADER + "\n")
         fh.writelines(
-            f"{r.experiment},{r.algorithm},{r.n},{r.m},{r.s:.17g},{r.eta_max_rel:.17g},"
-            f"{r.w_max_rel:.17g},{r.seed},{r.success},{r.final_rel_err:.17g},"
-            f"{r.iterations},{r.wall_time_ms:.17g}\n"
+            ",".join(format(getattr(r, name), spec) for name, spec in specs) + "\n"
             for r in rows
         )
     return len(rows)

@@ -31,7 +31,8 @@ def relative_error(z, x) -> float | np.ndarray:
     """min(||z - x||, ||z + x||) / ||x||; the signal must be nonzero.
 
     ``z`` may also be a (k, n) stack of iterates: the result is then the
-    array of its k row errors, each bitwise what that row alone gives.
+    array of its k row errors.  Both shapes take the same computation, so
+    each row's error is bitwise what that row alone gives.
     """
     x, z = _vector(x, "signal"), np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != x.size:
@@ -39,12 +40,11 @@ def relative_error(z, x) -> float | np.ndarray:
     x_norm = _norm(x)
     if x_norm == 0.0:
         raise InvalidInputError("relative error is undefined for a zero signal")
-    if z.ndim == 1:
-        return min(_norm(z - x), _norm(z + x)) / x_norm
     d, p = z - x, z + x
-    # np.vecdot sums a row as v @ v does (np.einsum does not), so each row is bitwise _norm.
+    # np.vecdot sums a row as v @ v does (np.einsum does not), so each norm is bitwise _norm.
     dn, pn = np.sqrt(np.vecdot(d, d)), np.sqrt(np.vecdot(p, p))
-    return np.where(pn < dn, pn, dn) / x_norm  # min(dn, pn), NaN included
+    errors = np.where(pn < dn, pn, dn) / x_norm  # min(dn, pn), NaN included
+    return errors if z.ndim == 2 else float(errors)
 
 
 def is_success(outcome_error: float, tol: float) -> bool:

@@ -12,8 +12,8 @@ squared-Gaussian intensity distribution to three decimals; the mean variant
 used by the baselines divides by its mean (which is 1) and is fragile under
 outliers by design.  An estimate that is negative or zero (all-zero y, say)
 leaves nothing to screen against, so both raise ``DegenerateMeasurements``
-before any eigenvector work.  The eigensolver runs with
-``leading_eigenvector``'s default tolerance and budget.
+before any eigenvector work.  The eigensolver's tolerance and budget are
+fixed too (``_LANCZOS_TOL``, ``_LANCZOS_BUDGET``).
 
 Arbitrary outliers can push some y_i negative, making Y indefinite; the
 mask deliberately thresholds |y_i|, and the eigensolver tracks the
@@ -30,7 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateMeasurements, NumericalFailure
-from .errors import _require_count, _require_positive, _vector
+from .errors import _require_count, _vector
+from .metrics import _norm
 from .model import SensingEnsemble, _rng
 from .quantile import sample_median
 
@@ -47,6 +48,8 @@ __all__ = [
 # signal norm, rounded to the three decimals the algorithm is defined with.
 MEDIAN_INTENSITY_CALIBRATION = 0.455
 _ALPHA_Y = 3.0
+_LANCZOS_TOL = 1e-6
+_LANCZOS_BUDGET = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +76,9 @@ def scale_estimate(y) -> float:
     return math.sqrt(med / MEDIAN_INTENSITY_CALIBRATION)
 
 
-def _surrogate_weights(y: np.ndarray, alpha_y: float, lambda0: float) -> tuple[np.ndarray, int]:
+def _surrogate_weights(y: np.ndarray, lambda0: float) -> tuple[np.ndarray, int]:
     # (mask * y, number of kept samples) with mask_i = 1{|y_i| <= alpha_y^2 lambda0^2}.
-    mask = np.abs(y) <= (alpha_y * lambda0) ** 2
+    mask = np.abs(y) <= (_ALPHA_Y * lambda0) ** 2
     return np.where(mask, y, 0.0), int(np.count_nonzero(mask))
 
 
@@ -84,11 +87,7 @@ def _weighted_apply(ensemble: SensingEnsemble, weights: np.ndarray, v: np.ndarra
 
 
 def leading_eigenvector(
-    apply: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    tol: float = 1e-6,
-    max_iters: int = 200,
-    seed: int = 0,
+    apply: Callable[[np.ndarray], np.ndarray], n: int, seed: int = 0
 ) -> tuple[np.ndarray, int, bool]:
     """Dominant eigenvector direction of a symmetric operator by Lanczos.
 
@@ -97,9 +96,10 @@ def leading_eigenvector(
     Ritz pairs (theta_j, s_j) the one with theta_j largest in magnitude is
     tracked, so a dominant negative eigenvalue wins too.  Convergence is
     declared when its Ritz residual ``beta_k |s_kj|`` drops to
-    ``tol |theta_j|``.  After ``min(max_iters, n)`` operator applications the
-    current Ritz vector is returned flagged non-converged rather than
-    raising: downstream theory only needs an approximate direction.
+    ``1e-6 |theta_j|`` (``_LANCZOS_TOL``).  After ``min(200, n)`` operator
+    applications (``_LANCZOS_BUDGET``) the current Ritz vector is returned
+    flagged non-converged rather than raising: downstream theory only needs
+    an approximate direction.
 
     Raises:
         NumericalFailure: the operator's output has an infinite or NaN norm,
@@ -108,34 +108,32 @@ def leading_eigenvector(
     Returns:
         (unit vector, operator applications, converged flag).
     """
-    _require_positive(tol, "tolerance")
     _require_count(n, "n")
-    _require_count(max_iters, "max_iters")
     v = _rng(seed).standard_normal(n)
-    basis = np.empty((min(max_iters, n), n))
-    basis[0] = v / np.linalg.norm(v)
-    alphas: list[float] = []
-    betas: list[float] = []
+    basis = np.empty((min(_LANCZOS_BUDGET, n), n))
+    basis[0] = v / _norm(v)
+    # T with its subdiagonal below the diagonal: eigh reads only the lower triangle.
+    tri = np.zeros((len(basis), len(basis)))
     for k in range(len(basis)):
         w = apply(basis[k])
-        norm_w = np.linalg.norm(w)
+        norm_w = _norm(w)
         if not math.isfinite(norm_w):
             raise NumericalFailure(f"Lanczos step {k + 1}: operator output norm is {norm_w}")
         q = basis[: k + 1]
-        alphas.append(float(basis[k] @ w))
+        tri[k, k] = basis[k] @ w
         for _ in range(2):
             w = w - q.T @ (q @ w)
-        betas.append(float(np.linalg.norm(w)))
-        # eigh reads only the lower triangle, so T's subdiagonal suffices.
-        theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1))
+        beta = _norm(w)
+        theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])
         j = int(np.argmax(np.abs(theta)))
         # A zero residual (an invariant subspace, or a zero operator) converges.
-        converged = betas[-1] * abs(s[k, j]) <= tol * abs(theta[j])
+        converged = beta * abs(s[k, j]) <= _LANCZOS_TOL * abs(theta[j])
         if converged or k + 1 == len(basis):
             break
-        basis[k + 1] = w / betas[-1]
+        basis[k + 1] = w / beta
+        tri[k + 1, k] = beta
     u = q.T @ s[:, j]
-    return u / np.linalg.norm(u), k + 1, bool(converged)
+    return u / _norm(u), k + 1, bool(converged)
 
 
 def _mean_scale(y: np.ndarray) -> float:
@@ -156,7 +154,7 @@ def _spectral_init(
     lambda0 = estimate_lambda0(y)
     if lambda0 == 0.0:
         raise DegenerateMeasurements("scale estimate is zero; the measurements carry no norm")
-    weights, kept = _surrogate_weights(y, _ALPHA_Y, lambda0)
+    weights, kept = _surrogate_weights(y, lambda0)
     direction, iters, converged = leading_eigenvector(
         lambda v: _weighted_apply(ensemble, weights, v),
         ensemble.n,

@@ -547,6 +547,14 @@ def test_result_csv_bytes_match_csv_writer(tmp_path):
     assert b",0.30000000000000004,inf,-0,9223372036854775808,1,4.9406564584124654e-324," in data
 
 
+def test_result_csv_formats_each_field_by_its_declared_type(tmp_path):
+    # Integers in float fields still take the 17-digit float format.
+    row = ResultRow("single", "twf", 8, 16, 0, 10**20, 1, 3, 0, 1, 500, 0)
+    path = tmp_path / "rows.csv"
+    write_result_csv([row], str(path))
+    assert path.read_text(encoding="utf-8").splitlines()[1] == "single,twf,8,16,0,1e+20,1,3,0,1,500,0"
+
+
 def _trace(errors, kept, median_stat):
     return IterateTrace(np.array(errors), np.array(kept, dtype=np.int64),
                         np.array(median_stat), np.zeros(len(errors)), None)

@@ -63,6 +63,32 @@ def _bits(value) -> bytes:
     return np.float64(value).tobytes()
 
 
+def _formula(z, x) -> float:
+    """The relative error as ``perfbench/checks.py::spot_check`` computes it."""
+    return min(np.linalg.norm(z - x), np.linalg.norm(z + x)) / np.linalg.norm(x)
+
+
+def test_relative_error_of_a_vector_is_bitwise_the_formula():
+    rng = np.random.Generator(np.random.Philox(key=94))
+    cases = []
+    for n in (1, 2, 16, 64, 128, 512):
+        x = rng.standard_normal(n)
+        for scale in 10.0 ** np.arange(-12, 5, 2):
+            z = x + scale * rng.standard_normal(n)
+            cases += [(z, x), (-z, x), (z, -x), (scale * rng.standard_normal(n), x)]
+        cases += [(x, x), (-x, x), (np.zeros(n), x)]
+    x = np.array([3.0, -4.0, 1.0])
+    for row in ([np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [-np.inf, 2.0, 1.0],
+                [np.inf, -np.inf, 0.0], [np.nan, np.inf, 0.0]):
+        cases += [(np.array(row), x), (-np.array(row), x)]
+    cases += [(x, np.array([np.inf, 0.0, 1.0])), (x, np.array([np.nan, 0.0, 1.0]))]
+    for z, x in cases:
+        with np.errstate(invalid="ignore"):  # inf / inf for an infinite signal
+            err, want = relative_error(z, x), _formula(z, x)
+        assert type(err) is float
+        assert _bits(err) == _bits(want), (z, x)
+
+
 @pytest.mark.parametrize("n", [1, 16, 64, 128, 512])
 def test_relative_error_of_a_stack_is_bitwise_each_row(n):
     rng = np.random.Generator(np.random.Philox(key=93 + n))
@@ -76,7 +102,7 @@ def test_relative_error_of_a_stack_is_bitwise_each_row(n):
     assert errors.shape == (len(rows),)
     assert errors[0] == errors[1] == 0.0
     for row, err in zip(z, errors):
-        assert _bits(err) == _bits(relative_error(row, x))
+        assert _bits(err) == _bits(_formula(row, x))
 
 
 def test_relative_error_of_a_stack_with_nonfinite_rows():
