@@ -33,7 +33,6 @@ from .model import CorruptionSpec, OutlierModel, derive_seed, generate_problem
 from .solvers import Algorithm, IterateTrace, SolverConfig, run_solver
 
 __all__ = [
-    "ALGORITHM_CODES",
     "EXPERIMENTS",
     "ExperimentConfig",
     "TrialCell",
@@ -48,14 +47,6 @@ __all__ = [
     "main",
 ]
 
-# Stable algorithm codes for seed derivation; never reorder.
-ALGORITHM_CODES = {
-    Algorithm.MEDIAN_TWF: 0,
-    Algorithm.MEDIAN_RWF: 1,
-    Algorithm.MEAN_TWF: 2,
-    Algorithm.PLAIN_RWF: 3,
-    Algorithm.TRIMEAN_TWF: 4,
-}
 
 @dataclass(frozen=True)
 class TrialCell:
@@ -243,7 +234,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow] | list[_Trial]:
                 fixed_iterations=cfg.fixed_T,
                 known_s=cell.corruption.outlier_fraction,  # only trimean-twf reads known_s
             )
-            code = ALGORITHM_CODES[algorithm]
+            code = list(Algorithm).index(algorithm)  # the seed code: declaration order
             tasks.extend(
                 (cell, solver, derive_seed(cfg.master_seed, exp.code, cell_index, code, trial),
                  cfg.timing, exp.per_iteration)

@@ -180,8 +180,7 @@ def apply_corruption(
     Args:
         clean: nonnegative clean intensities, shape (m,).
         spec: corruption description; magnitudes relative to ||x||^2.
-        x_norm: the signal norm ||x||, needed whenever a relative magnitude
-            is in play.
+        x_norm: the signal norm ||x||, finite and positive.
         seed: integer seed for the corruption stream.
 
     Returns:
@@ -191,8 +190,7 @@ def apply_corruption(
 
     Raises:
         InvalidInputError: negative clean entries, a Poisson mean too large
-            to sample, or an x_norm that is not finite and positive when
-            relative magnitudes are required.
+            to sample, or an x_norm that is not finite and positive.
     """
     clean = _vector(clean, "clean intensities", finite=True)
     if np.any(clean < 0.0):
@@ -200,13 +198,7 @@ def apply_corruption(
     m = clean.size
     s = spec.outlier_fraction
 
-    needs_scale = spec.w_max_rel > 0.0 or (
-        s > 0.0
-        and spec.outlier_model
-        in (OutlierModel.UNIFORM, OutlierModel.INTEGER_UNIFORM)
-    )
-    if needs_scale:
-        _require_positive(x_norm, "x_norm")
+    _require_positive(x_norm, "x_norm")
 
     rng = _rng(seed)
     signal_power = float(x_norm) ** 2

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailure, _require_positive, _vector
+from .errors import InvalidInputError, NumericalFailure, _vector
 
 __all__ = [
     "sample_quantile",
@@ -173,35 +173,27 @@ def product_gaussian_cdf(theta: float, rho: float) -> float:
     return float(val)
 
 
-def product_gaussian_median(rho: float, tol: float = 1e-6) -> float:
-    """Median of psi_rho, located by bisection on the quadrature CDF.
+def product_gaussian_median(rho: float) -> float:
+    """Median of psi_rho: the root of CDF(theta) - 1/2, by Brent's method.
 
-    Returns theta with |CDF(theta) - 1/2| <= tol.  The bracket [1e-4, 2.0]
-    contains the median for every rho: the CDF at 1e-4 is below 1e-3 and at
-    2.0 is above erf(1) = 0.84 even in the heaviest-tailed |rho| = 1 case.
+    ``scipy.optimize.brentq`` searches the bracket [1e-4, 2.0] to
+    ``xtol=1e-12``.  The bracket contains the median for every rho: the CDF
+    at 1e-4 is below 1e-3 and at 2.0 is above erf(1) = 0.84 even in the
+    heaviest-tailed |rho| = 1 case.
 
     Raises:
-        InvalidInputError: rho outside [-1, 1] or tol not finite and positive.
-        NumericalFailure: bisection fails to reach tol within 200 steps.
+        InvalidInputError: rho outside [-1, 1].
+        NumericalFailure: the CDF does not change sign on the bracket, or
+            the search does not converge.
     """
     if not -1.0 <= rho <= 1.0:
         raise InvalidInputError(f"correlation must lie in [-1, 1], got {rho}")
-    _require_positive(tol, "tolerance")
-    lo, hi = 1e-4, 2.0
-    flo = product_gaussian_cdf(lo, rho) - 0.5
-    fhi = product_gaussian_cdf(hi, rho) - 0.5
-    if flo > 0.0 or fhi < 0.0:
-        raise NumericalFailure("median bracket [1e-4, 2.0] failed its sign check")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = product_gaussian_cdf(mid, rho) - 0.5
-        if abs(fmid) <= tol:
-            return mid
-        if fmid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalFailure(f"median bisection did not reach tol={tol}")
+    from scipy.optimize import brentq  # scipy stays off the solver path
+
+    try:
+        return float(brentq(lambda t: product_gaussian_cdf(t, rho) - 0.5, 1e-4, 2.0, xtol=1e-12))
+    except (ValueError, RuntimeError) as exc:
+        raise NumericalFailure(f"median search on [1e-4, 2.0] failed: {exc}") from exc
 
 
 def chi_square_quantile(p: float) -> float:

@@ -73,7 +73,10 @@ _ALPHA_L, _ALPHA_U, _ALPHA_H, _ALPHA_H_PRIME = 0.3, 5.0, 12.0, 5.0
 
 
 class Algorithm(str, Enum):
-    """Solver variants; values double as the CLI spellings."""
+    """Solver variants; values double as the CLI spellings.
+
+    A member's position is its seed code in every trial seed; never reorder.
+    """
 
     MEDIAN_TWF = "median-twf"
     MEDIAN_RWF = "median-rwf"

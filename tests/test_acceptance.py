@@ -159,7 +159,7 @@ def test_criterion_5_error_scales_with_dense_noise_level():
 
 def test_criterion_6_product_density_median_oracle():
     # Known failure: over this grid the density at the median spans
-    # [0.471136 at rho=1, 0.760664 at rho=0], so the 0.76 envelope is
+    # [0.471136 at rho=1, 0.760663 at rho=0], so the 0.76 envelope is
     # exceeded at rho=0 (by 6.6e-4) and rho=0.1 (by 2.4e-5).  The envelope
     # is kept as stated rather than widened to fit.
     with criterion(6, "product-Gaussian medians and densities in known bands"):

@@ -16,7 +16,6 @@ from robustphase import (
     SolverConfig,
     apply_corruption,
     is_success,
-    product_gaussian_median,
 )
 from robustphase.harness import ExperimentConfig
 
@@ -34,8 +33,8 @@ def test_positive_values_must_be_finite_and_above_zero(bad):
         lambda: _experiment(tol=bad),
         lambda: ExperimentConfig("single", m_over_n=(bad,)),
         lambda: apply_corruption(np.ones(4), CorruptionSpec(w_max_rel=0.1), bad, 0),
+        lambda: apply_corruption(np.ones(4), CorruptionSpec(), bad, 0),  # clean: no magnitude
         lambda: is_success(0.0, bad),
-        lambda: product_gaussian_median(0.5, tol=bad),
     ):
         with pytest.raises(InvalidInputError, match="must be finite and positive"):
             make()

@@ -20,13 +20,14 @@ step::
 
     PYTHONPATH=src python tests/test_golden.py
 
-The two ``*-replay`` commands run the full 500-iteration budget at n=64,
+The two ``*-hold`` commands run the full 500-iteration budget at n=64,
 where median-RWF and median-TWF become stationary (``||g|| <= 2^-50 ||z||``)
 well before the budget; ``run_solver`` then holds the iterate and repeats
-its row instead of computing the rest of the trace.  ``noise-replay``
+its row instead of computing the rest of the trace.  ``noise-hold``
 writes every iteration's kept count and statistic.
-``test_replay_commands_copy_their_cycles`` asserts that they compute fewer
-gradients than the budget asks for.
+``test_hold_commands_compute_fewer_gradients_than_the_budget`` counts the
+calls of the kernel every solver shares, ``solvers._screened_gradient``, and
+asserts that they are fewer than the budget asks for.
 
 ``test_result_rows_are_failed_or_complete`` holds the summary commands to the
 row contract the benchmark checks: a trial either failed (NaN error, no
@@ -81,13 +82,13 @@ GOLDEN = {
          "--algos", ALGOS, "--s", "0.1", "--max-iters", "40"],
         "92d9dfda62ad90eb6119ca639a24c1b8cf72afcce8bae4bf632adc11bd248a06",
     ),
-    "sweep-replay": (
+    "sweep-hold": (
         ["outlier-sweep", "--n", "64", "--m-over-n", "8", "--s", "0.1",
          "--eta-max-rel", "1", "--algos", "median-twf,median-rwf", "--trials", "2",
          "--max-iters", "500"],
         "dda6d19339c2da6c3e1dc5032c8ad9b84b3f649697b89dd5ad4db48276f96b2a",
     ),
-    "noise-replay": (
+    "noise-hold": (
         ["noise-curve", "--n", "64", "--m-over-n", "8", "--trials", "1",
          "--algos", "median-twf,median-rwf,twf", "--s", "0.1", "--w-max-rel", "0.01,0",
          "--max-iters", "500"],
@@ -102,7 +103,7 @@ PER_ITERATION_COMMANDS = ("noise-curve", "poisson")
 PER_ITERATION = {
     "noise": (GOLDEN["noise"][0], 24),
     "poisson": (GOLDEN["poisson"][0], 12),
-    "noise-replay": (GOLDEN["noise-replay"][0], 8),
+    "noise-hold": (GOLDEN["noise-hold"][0], 8),
     "poisson-tiny": (
         ["poisson", "--n", "1", "--m", "3", "--trials", "20", "--algos", "median-twf",
          "--max-iters", "5"],
@@ -110,26 +111,19 @@ PER_ITERATION = {
     ),
 }
 
-GRADIENTS = ("mtwf_gradient", "mrwf_gradient", "twf_gradient", "rwf_gradient",
-             "trimean_twf_gradient")
-
-
 def _run(argv, out):
-    """Run one command into ``out``; returns the gradient calls made in this
-    process (a pool's workers count none)."""
+    """Run one command into ``out``; returns the calls of the shared gradient
+    kernel made in this process (a pool's workers count none)."""
     calls = 0
+    kernel = solvers_module._screened_gradient
 
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return kernel(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in GRADIENTS:
-            mp.setattr(solvers_module, name, counting(getattr(solvers_module, name)))
+        mp.setattr(solvers_module, "_screened_gradient", counting)
         assert cli_main(argv + ["--out", str(out)]) == 0
     return calls
 
@@ -301,8 +295,8 @@ def test_golden_mismatch_names_the_trace_and_t(output):
 # ------------------------------------------------------------ held iterates
 
 
-@pytest.mark.parametrize("name", ["sweep-replay", "noise-replay"])
-def test_replay_commands_copy_their_cycles(name, output):
+@pytest.mark.parametrize("name", ["sweep-hold", "noise-hold"])
+def test_hold_commands_compute_fewer_gradients_than_the_budget(name, output):
     """A held iterate's rows are repeated, not recomputed, so these
     commands make fewer gradient calls than one per trial and iteration."""
     csv_bytes, calls = output(name)

@@ -32,7 +32,6 @@ from robustphase import (
     derive_seed,
 )
 from robustphase.harness import (
-    ALGORITHM_CODES,
     EXPERIMENTS,
     ITERATION_HEADER,
     RESULT_HEADER,
@@ -242,6 +241,20 @@ def test_phase_grid_empty_algorithm_list_is_rejected():
         )
 
 
+# Every trial seed hashes its algorithm's code; these are the published ones.
+SEED_CODES = {
+    Algorithm.MEDIAN_TWF: 0,
+    Algorithm.MEDIAN_RWF: 1,
+    Algorithm.MEAN_TWF: 2,
+    Algorithm.PLAIN_RWF: 3,
+    Algorithm.TRIMEAN_TWF: 4,
+}
+
+
+def test_algorithm_declaration_order_is_the_seed_code_order():
+    assert list(Algorithm) == sorted(SEED_CODES, key=SEED_CODES.get)
+
+
 def test_phase_grid_canonical_order_and_seed_derivation():
     cfg = ExperimentConfig(
         experiment="phase_grid", n_values=(16,), m_values=(32, 48), m_over_n=None,
@@ -255,7 +268,7 @@ def test_phase_grid_canonical_order_and_seed_derivation():
     ] * 2 + ["median-rwf"] * 2
     exp_code = EXPERIMENTS["phase_grid"].code
     expected = [
-        derive_seed(9, exp_code, cell, ALGORITHM_CODES[algo], trial)
+        derive_seed(9, exp_code, cell, SEED_CODES[algo], trial)
         for cell in (0, 1)
         for algo in (Algorithm.MEDIAN_TWF, Algorithm.MEDIAN_RWF)
         for trial in (0, 1)
@@ -408,8 +421,8 @@ def test_poisson_deterministic_per_master_seed():
 
 # ----------------------------------------------------------- run_experiment
 
-MTWF_CODE = ALGORITHM_CODES[Algorithm.MEDIAN_TWF]
-BASELINE_CODE = ALGORITHM_CODES[Algorithm.MEAN_TWF]
+MTWF_CODE = SEED_CODES[Algorithm.MEDIAN_TWF]
+BASELINE_CODE = SEED_CODES[Algorithm.MEAN_TWF]
 
 # experiment -> (per-iteration, [(cell index, algorithm code)] in seed order)
 # for one (n, m) pair, one s/eta/w value, one trial and median-twf alone

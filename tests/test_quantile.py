@@ -20,6 +20,7 @@ from scipy import integrate, stats
 import robustphase
 from robustphase import (
     InvalidInputError,
+    NumericalFailure,
     chi_square_quantile,
     product_gaussian_cdf,
     product_gaussian_density,
@@ -215,37 +216,43 @@ def test_cdf_chi_square_branch_is_closed_form():
 
 
 def test_median_rho_one_hits_chi_square_median():
-    got = product_gaussian_median(1.0, tol=1e-8)
-    assert got == pytest.approx(CHI2_MEDIAN, abs=1e-6)
+    got = product_gaussian_median(1.0)
+    assert got == pytest.approx(CHI2_MEDIAN, abs=1e-9)
     assert abs(got - 0.4549) < 1e-3
 
 
 def test_median_rho_zero_against_monte_carlo():
-    """Quadrature+bisection route vs brute-force sampling of |u*v|."""
+    """Quadrature+root-search route vs brute-force sampling of |u*v|."""
     got = product_gaussian_median(0.0)
     rng = np.random.Generator(np.random.Philox(key=987654321))
     u = rng.standard_normal(10_000_000)
     v = rng.standard_normal(10_000_000)
     mc = float(np.median(np.abs(u * v)))
     assert got == pytest.approx(mc, abs=1.5e-3)
-    assert got == pytest.approx(PSI0_MEDIAN, abs=1e-5)
+    assert got == pytest.approx(PSI0_MEDIAN, abs=1e-7)
 
 
 def test_median_sweep_stays_in_known_interval():
     for rho in (0.0, 0.25, 0.5, 0.75, 1.0):
-        theta = product_gaussian_median(rho, tol=1e-7)
+        theta = product_gaussian_median(rho)
         assert 0.348 < theta < 0.455, f"rho={rho} gave {theta}"
 
 
 def test_median_rejects_bad_arguments():
     with pytest.raises(InvalidInputError):
         product_gaussian_median(1.2)
-    with pytest.raises(InvalidInputError):
-        product_gaussian_median(0.5, tol=0.0)
-    with pytest.raises(InvalidInputError):
-        product_gaussian_median(0.5, tol=float("nan"))
-    with pytest.raises(InvalidInputError):
-        product_gaussian_median(0.5, tol=float("inf"))
+
+
+@pytest.mark.parametrize("cdf", [lambda t, rho: 0.25, lambda t, rho: math.nan],
+                         ids=["no-sign-change", "nan"])
+def test_median_search_failure_is_a_numerical_failure(cdf, monkeypatch):
+    """A CDF with no sign change on the bracket, or one that turns NaN, stops
+    the search with NumericalFailure, not scipy's ValueError."""
+    monkeypatch.setattr(robustphase.quantile, "product_gaussian_cdf", cdf)
+    with pytest.raises(NumericalFailure, match=r"median search on \[1e-4, 2.0\] failed"):
+        product_gaussian_median(0.5)
+    with pytest.raises(InvalidInputError):  # rho is checked before any search
+        product_gaussian_median(1.2)
 
 
 # ------------------------------------------------------ chi-square quantile

@@ -123,6 +123,10 @@ MUTANTS = [
            "np.flatnonzero(rng.random(m) <= s)", "<= in outlier placement", equivalent=True),
     Mutant("rows-unaligned", _M, "rows = buf[start : start + m * n]",
            "rows = buf[start + 1 : start + 1 + m * n]", "ensemble rows off the cache line"),
+    Mutant("x-norm-unchecked", _M, '_require_positive(x_norm, "x_norm")', "pass",
+           "apply_corruption takes any x_norm"),
+    Mutant("median-xtol-1e-4", _Q, "2.0, xtol=1e-12)", "2.0, xtol=1e-4)",
+           "the median oracle's root search stops at 1e-4"),
     Mutant("upper-median", _Q,
            'return _order_statistic(_vector(values, "sample", finite=True), 0.5)',
            'return _order_statistic(_vector(values, "sample", finite=True), 0.5 + 1e-9)',
@@ -143,7 +147,10 @@ MUTANTS = [
            "if not 0.0 <= value <= 0.5:", "a fraction rule that takes 0.5"),
     Mutant("count-ignores-least", _E, "value < least:", "value < 0:",
            "_require_count ignoring least"),
-    # Output.
+    # Seeds and output.
+    Mutant("seed-codes-reversed", _H, "code = list(Algorithm).index(algorithm)",
+           "code = list(reversed(Algorithm)).index(algorithm)",
+           "algorithm seed codes in reverse declaration order"),
     Mutant("csv-format-by-annotation", _H, '".17g" if f.type == "float" else ""',
            '".17g" if f.type is float else ""',
            "result columns formatted as if no field were declared float"),
