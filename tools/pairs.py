@@ -5,17 +5,21 @@ both trees with the same seed, one after the other; the order alternates
 from pair to pair, and every pair has a seed of its own (``--seed-base``,
 then one more per pair, across all workloads).  The parent tree comes from
 ``git archive <rev> | tar -x`` under ``$TMPDIR``; the change is the working
-tree.  Runs last ``run_seconds`` of ``BENCHMARK.json`` unless ``--seconds``
-says otherwise.
+tree.  Every run lasts ``run_seconds`` of ``BENCHMARK.json``.
 
 For every workload and end-to-end metric it prints the parent and change
 medians with their quartiles, the pairs the change won, the change of the
-median and whether it is worse than the parent by more than the metric's
-bound, then each side's failed share.  Every run's command line is printed
+median and its verdict against the metric's bound, then each side's failed
+share.  The verdict is CROSSED when the change's median is worse than the
+parent's by more than the bound; otherwise it is unresolved when either
+side's quartile distance is wider than the bound (as a share of the
+parent's median) and not every change run beats every parent run, and held
+when neither holds.  Every run's command line is printed
 as it starts, so any one can be rerun.  A run that fails is reported with
 its seed and tree, never dropped or re-seeded.  The tool reads the bounds
 and never writes them.  It exits 1 when a run fails, a bound is crossed or
-the change fails a larger share of trials than the parent; otherwise 0.
+the change fails a larger share of trials than the parent; otherwise 0,
+unresolved metrics included.
 
     python tools/pairs.py HEAD~1
     python tools/pairs.py 1c29930 --workload sweep-n64 --pairs 10 --seed-base 9000
@@ -75,8 +79,21 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _verdict(parent: list[float], change: list[float], metric: dict) -> str:
+    """CROSSED, unresolved or held: the change's runs against the parent's."""
+    lower, bound = metric["better"] == "lower", metric["bound"]
+    (p1, pm, p3), (c1, cm, c3) = _quartiles(parent), _quartiles(change)
+    if ((cm - pm) / pm if lower else (pm - cm) / pm) > bound:
+        return "CROSSED"
+    separated = max(change) < min(parent) if lower else min(change) > max(parent)
+    if max(p3 - p1, c3 - c1) > bound * pm and not separated:
+        return "unresolved"
+    return "held"
+
+
 def _summarise(workload: str, pairs: list[dict], metrics: list[dict]) -> bool:
-    """Print one workload's verdict; True when it is clean."""
+    """Print one workload's verdict; True when no bound is crossed and the
+    change fails no larger share of trials than the parent."""
     clean = True
     print(f"\n{workload}: {len(pairs)} pairs")
     print(f"  {'metric':16s} {'parent median [q1, q3]':30s} {'change median [q1, q3]':30s} "
@@ -91,12 +108,11 @@ def _summarise(workload: str, pairs: list[dict], metrics: list[dict]) -> bool:
         parent, change = ([b[i] for b in both] for i in (0, 1))
         (p1, pm, p3), (c1, cm, c3) = _quartiles(parent), _quartiles(change)
         won = sum((c < p) if lower else (c > p) for p, c in both)
-        delta = (cm - pm) / pm
-        worse = delta > metric["bound"] if lower else -delta > metric["bound"]
-        clean &= not worse
+        verdict = _verdict(parent, change, metric)
+        clean &= verdict != "CROSSED"
         print(f"  {name:16s} {f'{pm:.4g} [{p1:.4g}, {p3:.4g}]':30s} "
-              f"{f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':30s} {delta:+8.1%} {won:>2d}/{len(both):<3d}  "
-              f"{metric['bound']:.0%}: {'CROSSED' if worse else 'held'}")
+              f"{f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':30s} {(cm - pm) / pm:+8.1%} "
+              f"{won:>2d}/{len(both):<3d}  {metric['bound']:.0%}: {verdict}")
     shares = {}
     for side in ("parent", "change"):
         runs = [p[side] for p in pairs if p[side]]
@@ -114,7 +130,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("parent", help="git revision to compare the working tree against")
     parser.add_argument("--workload", action="append", help="repeatable; default all")
     parser.add_argument("--pairs", type=int, default=4)
-    parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--seed-base", type=int, default=7001, help="the first pair's seed")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -122,7 +137,6 @@ def main(argv: list[str]) -> int:
     workloads = args.workload or known
     if args.pairs < 1 or any(w not in known for w in workloads):
         parser.error(f"--pairs must be at least 1 and each workload one of {', '.join(known)}")
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
 
     scratch = Path(tempfile.mkdtemp(prefix="pairs-"))
     try:
@@ -138,7 +152,7 @@ def main(argv: list[str]) -> int:
             pairs = []
             for i in range(args.pairs):
                 command = [*spec["command"], "--workload", workload, "--seed", str(seed),
-                           "--seconds", f"{seconds:g}"]
+                           "--seconds", f"{spec['run_seconds']:g}"]
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {}
                 print(f"{workload} pair {i + 1}, seed {seed}, {order[0]} first:", flush=True)
