@@ -10,12 +10,13 @@ Five experiments, all emitting CSV:
 
 Reproducibility contract: every trial derives its seed as
 hash(master_seed, experiment_code, cell_index, algorithm_code, trial_index),
-so a row's content depends only on the configuration, never on thread
-scheduling.  Wall-clock timing is therefore opt-in (``--timing``); without
-it the wall_time_ms column is 0 and output files are byte-identical across
-repeated and multi-threaded runs.  Floats are written with 17 significant
-digits so parsing a file recovers every value exactly.  A per-iteration trial
-leaves its worker as one trace of arrays; the parent formats its rows.
+the codes being positions in ``EXPERIMENTS`` and ``Algorithm``, so a row's
+content depends only on the configuration, never on thread scheduling.
+Wall-clock timing is therefore opt-in (``--timing``); without it the
+wall_time_ms column is 0 and output files are byte-identical across repeated
+and multi-threaded runs.  Floats are written with 17 significant digits so
+parsing a file recovers every value exactly.  A per-iteration trial leaves
+its worker as one trace of arrays; the parent formats its rows.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class ExperimentConfig:
     w_values: tuple[float, ...] = (0.0,)
     master_seed: int = 0
     threads: int = 1
-    out: str = ""
     fixed_T: bool = True
     max_iters: int = SolverConfig.max_iters
     tol: float = SolverConfig.success_tol
@@ -224,6 +224,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow] | list[_Trial]:
     trial.  ``write_result_csv`` and ``write_iteration_csv`` write them.
     """
     exp = EXPERIMENTS[cfg.experiment]
+    exp_code = list(EXPERIMENTS).index(cfg.experiment)  # the seed code: insertion order
     tasks = []
     for cell_index, (cell, algorithms) in enumerate(exp.cells(cfg)):
         for algorithm in algorithms:
@@ -236,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow] | list[_Trial]:
             )
             code = list(Algorithm).index(algorithm)  # the seed code: declaration order
             tasks.extend(
-                (cell, solver, derive_seed(cfg.master_seed, exp.code, cell_index, code, trial),
+                (cell, solver, derive_seed(cfg.master_seed, exp_code, cell_index, code, trial),
                  cfg.timing, exp.per_iteration)
                 for trial in range(cfg.trials)
             )
@@ -329,25 +330,25 @@ def write_iteration_csv(trials: list[_Trial], path: str) -> int:
 
 
 class _Experiment(NamedTuple):
-    code: int  # seed-derivation code; never renumber
     cells: Callable[[ExperimentConfig], _Cells]  # (cell, algorithms) in seed order
     per_iteration: bool  # writes one row per iterate of each trace, not per trial
     grid: dict  # CLI defaults where they differ from ExperimentConfig's
 
 
+# An experiment's seed code is its position here: add new ones last, never reorder.
 EXPERIMENTS = {
-    "single": _Experiment(0, _sweep_cells, False, dict(m_over_n=(6.0,))),
-    "phase_grid": _Experiment(1, _sweep_cells, False, dict(
+    "single": _Experiment(_sweep_cells, False, dict(m_over_n=(6.0,))),
+    "phase_grid": _Experiment(_sweep_cells, False, dict(
         n_values=(64, 128), m_over_n=(2.0, 3.0, 4.0, 5.0, 6.0), trials=20,
         algorithms=("median-twf", "median-rwf", "twf", "rwf"))),
-    "outlier_sweep": _Experiment(2, _sweep_cells, False, dict(
+    "outlier_sweep": _Experiment(_sweep_cells, False, dict(
         m_over_n=(8.0,), trials=100,
         algorithms=("median-twf", "median-rwf", "twf", "trimean-twf"),
         s_values=(0.05, 0.1, 0.15, 0.2), eta_values=(1.0,))),
-    "noise_curve": _Experiment(3, _noise_curve_cells, True, dict(
+    "noise_curve": _Experiment(_noise_curve_cells, True, dict(
         m_over_n=(8.0,), algorithms=("median-twf", "median-rwf", "twf"),
         s_values=(0.1,), w_values=(0.01, 0.001))),
-    "poisson": _Experiment(4, _poisson_cells, True, dict(
+    "poisson": _Experiment(_poisson_cells, True, dict(
         m_over_n=(8.0,), algorithms=("median-twf", "median-rwf", "twf"),
         s_values=(0.1,))),
 }
@@ -424,7 +425,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad flags or values, 0 on --help
         return int(exc.code or 0)
-    del ns.command
+    out = ns.out
+    del ns.command, ns.out
     try:
         cfg = ExperimentConfig(**vars(ns))
     except InvalidInputError as exc:
@@ -434,11 +436,11 @@ def cli_main(argv: list[str] | None = None) -> int:
     # wraps the writers) are the ones that run.
     write = write_iteration_csv if EXPERIMENTS[cfg.experiment].per_iteration else write_result_csv
     try:
-        written = write(run_experiment(cfg), cfg.out)
+        written = write(run_experiment(cfg), out)
     except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {written} rows to {cfg.out}")
+    print(f"wrote {written} rows to {out}")
     return 0
 
 

@@ -18,7 +18,7 @@ streams draw from Philox.  Sub-streams are derived by hashing
 ensemble, and corruption streams are independent and any one of them can be
 re-derived without touching the others.  Within ``apply_corruption`` the
 draw order is fixed and documented: Poisson resampling, dense noise,
-outlier placement, outlier values.
+outlier placement (m uniforms, drawn by a clean problem too), outlier values.
 """
 
 from __future__ import annotations
@@ -209,18 +209,15 @@ def apply_corruption(
     noise = rng.uniform(0.0, w_max, size=m) if w_max > 0.0 else np.zeros(m)
 
     y = base + noise
-    if s > 0.0:  # a clean problem draws no placement uniforms
-        support = np.flatnonzero(rng.random(m) < s)
-        k = support.size  # the value draws come last, so k = 0 draws nothing
-        if spec.outlier_model is OutlierModel.UNIFORM:
-            values = rng.uniform(0.0, spec.eta_max_rel * signal_power, size=k)
-        elif spec.outlier_model is OutlierModel.NOISE_NORM:
-            values = np.full(k, np.linalg.norm(noise))
-        else:
-            values = np.round(signal_power * rng.random(k))
-        y[support] += values
+    support = np.flatnonzero(rng.random(m) < s)  # drawn at s = 0 too
+    k = support.size  # the value draws come last, so k = 0 draws nothing
+    if spec.outlier_model is OutlierModel.UNIFORM:
+        values = rng.uniform(0.0, spec.eta_max_rel * signal_power, size=k)
+    elif spec.outlier_model is OutlierModel.NOISE_NORM:
+        values = np.full(k, np.linalg.norm(noise))
     else:
-        support = np.empty(0, dtype=np.int64)
+        values = np.round(signal_power * rng.random(k))
+    y[support] += values
     return MeasurementSet(y=y, outlier_support=support.astype(np.int64), noise=noise)
 
 

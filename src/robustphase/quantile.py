@@ -35,9 +35,10 @@ __all__ = [
     "chi_square_quantile",
 ]
 
-# Lower quadrature endpoint: psi_rho has an integrable log singularity at 0,
-# and the mass of (0, 1e-10] is below 2e-9 for every rho.
-_CDF_EPS = 1e-10
+# Lower quadrature endpoint: psi_rho has an integrable log singularity at 0.
+# The mass of (0, eps] grows with |rho| to erf(sqrt(eps/2)) ~ sqrt(2 eps/pi),
+# about 8e-16 at eps = 1e-30, far inside the 1e-8 budget for every rho.
+_CDF_EPS = 1e-30
 
 # Upper endpoint: every psi_rho tail is dominated by the |rho| = 1 chi-square
 # tail, and erfc(sqrt(40/2)) < 3e-10, inside the 1e-9 truncation budget.
@@ -131,7 +132,7 @@ def product_gaussian_cdf(theta: float, rho: float) -> float:
     """CDF of psi_rho at theta, by adaptive quadrature from 0+.
 
     The |rho| = 1 branch uses the closed chi-square form erf(sqrt(theta/2));
-    otherwise the density is integrated on (1e-10, min(theta, 40)] with
+    otherwise the density is integrated on (1e-30, min(theta, 40)] with
     Gauss-Kronrod adaptive quadrature after the substitution x = exp(u),
     which turns the log singularity at 0 into a smooth, exponentially
     decaying integrand.

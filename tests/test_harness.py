@@ -255,6 +255,16 @@ def test_algorithm_declaration_order_is_the_seed_code_order():
     assert list(Algorithm) == sorted(SEED_CODES, key=SEED_CODES.get)
 
 
+# Every trial seed hashes its experiment's code too; these are the published ones.
+EXPERIMENT_CODES = {
+    "single": 0, "phase_grid": 1, "outlier_sweep": 2, "noise_curve": 3, "poisson": 4,
+}
+
+
+def test_experiment_table_order_is_the_seed_code_order():
+    assert list(EXPERIMENTS) == sorted(EXPERIMENT_CODES, key=EXPERIMENT_CODES.get)
+
+
 def test_phase_grid_canonical_order_and_seed_derivation():
     cfg = ExperimentConfig(
         experiment="phase_grid", n_values=(16,), m_values=(32, 48), m_over_n=None,
@@ -266,9 +276,8 @@ def test_phase_grid_canonical_order_and_seed_derivation():
     assert [r.algorithm for r in rows] == ["median-twf"] * 2 + ["median-rwf"] * 2 + [
         "median-twf"
     ] * 2 + ["median-rwf"] * 2
-    exp_code = EXPERIMENTS["phase_grid"].code
     expected = [
-        derive_seed(9, exp_code, cell, SEED_CODES[algo], trial)
+        derive_seed(9, EXPERIMENT_CODES["phase_grid"], cell, SEED_CODES[algo], trial)
         for cell in (0, 1)
         for algo in (Algorithm.MEDIAN_TWF, Algorithm.MEDIAN_RWF)
         for trial in (0, 1)
@@ -453,9 +462,8 @@ def test_run_experiment_tags_and_seeds_come_from_cfg_experiment(exp_id):
         rows = results
     assert rows and all(type(r) is ResultRow for r in rows)
     assert all(r.experiment == exp_id or r.experiment.startswith(exp_id + ":") for r in rows)
-    code = EXPERIMENTS[exp_id].code
     assert list(dict.fromkeys(r.seed for r in rows)) == [
-        derive_seed(3, code, cell, algo, 0) for cell, algo in seeded
+        derive_seed(3, EXPERIMENT_CODES[exp_id], cell, algo, 0) for cell, algo in seeded
     ]
 
 
@@ -711,7 +719,7 @@ def test_readme_cli_examples_parse_into_accepted_configs():
     parser = _build_parser()
     for argv in examples:
         ns = parser.parse_args(argv)
-        del ns.command
+        del ns.command, ns.out  # the output path is the CLI's, not the config's
         ExperimentConfig(**vars(ns))
 
 

@@ -180,7 +180,7 @@ def test_no_corruption_is_identity():
     clean = np.array([1.0, 2.0, 3.0])
     ms = apply_corruption(clean, CorruptionSpec(), x_norm=1.0, seed=0)
     np.testing.assert_array_equal(ms.y, clean)
-    assert ms.outlier_support.size == 0
+    assert ms.outlier_support.dtype == np.int64 and ms.outlier_support.size == 0
     np.testing.assert_array_equal(ms.noise, np.zeros(3))
 
 
@@ -333,6 +333,7 @@ def test_each_stream_draws_from_its_pinned_generator():
         CorruptionSpec(
             outlier_fraction=0.4, outlier_model=OutlierModel.INTEGER_UNIFORM, poisson=True
         ),
+        CorruptionSpec(eta_max_rel=2.0, w_max_rel=0.1),  # s = 0: y is clean + noise alone
     ):
         rng = _philox(29)  # the draw order apply_corruption documents
         want = rng.poisson(clean).astype(float) if spec.poisson else clean.copy()
@@ -342,9 +343,11 @@ def test_each_stream_draws_from_its_pinned_generator():
             want[support] += rng.uniform(0.0, spec.eta_max_rel * power, support.size)
         else:
             want[support] += np.round(power * rng.random(support.size))
-        assert support.size > 0
+        assert (support.size > 0) == (spec.outlier_fraction > 0)
         got = apply_corruption(clean, spec, x_norm, seed=29)
         assert got.y.tobytes() == want.tobytes(), spec
+    noise = _philox(29).uniform(0.0, 0.1 * power, 12)
+    assert got.y.tobytes() == (clean + noise).tobytes()  # the s = 0 spec, built by hand
 
     v, applies, _ = leading_eigenvector(lambda u: u, 5, seed=29)  # one apply: v is the start
     start = _philox(29).standard_normal(5)

@@ -2,9 +2,11 @@
 
 The oracles in this file are deliberately independent of the package: K0
 comes from direct quadrature of its integral representation (cross-checked
-against the ascending series), chi-square facts from scipy.stats, and the
-product-Gaussian median from brute-force Monte-Carlo. Frozen constants were
-produced by those oracles and are asserted against the implementation.
+against the ascending series), chi-square facts from scipy.stats, the
+rho = 0 product-Gaussian CDF and median from its closed form in Bessel and
+Struve functions (scipy.special), and that median again from brute-force
+Monte-Carlo. Frozen constants were produced by those oracles and are asserted
+against the implementation.
 """
 
 import math
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import robustphase
 from robustphase import (
@@ -36,7 +38,7 @@ CHI2_MEDIAN = 0.4549364231195728       # brentq on erf(sqrt(x/2)) = 1/2
 CHI2_Q49 = 0.4340671053699434
 CHI2_Q51 = 0.4765262723998085
 CHI2_PDF_AT_04549 = 0.47116369338587427  # scipy.stats.chi2.pdf(0.4549, 1)
-PSI0_MEDIAN = 0.36516800314486025      # bisection on the quadrature CDF
+PSI0_MEDIAN = 0.3651680118349349       # root of psi0_cdf_closed_form(t) = 1/2
 
 
 def k0_quadrature(x: float) -> float:
@@ -47,6 +49,13 @@ def k0_quadrature(x: float) -> float:
         lambda t: math.exp(-x * math.cosh(t)), 0.0, upper, limit=200
     )
     return val
+
+
+def psi0_cdf_closed_form(t: float) -> float:
+    """CDF of |u*v| for independent unit Gaussians, (2/pi) int_0^t K0, in
+    closed form: t * (K0(t) L_{-1}(t) + K1(t) L_0(t)), L the modified Struve
+    functions."""
+    return t * (special.k0(t) * special.modstruve(-1, t) + special.k1(t) * special.modstruve(0, t))
 
 
 def k0_series(x: float) -> float:
@@ -213,6 +222,28 @@ def test_cdf_chi_square_branch_is_closed_form():
     got = product_gaussian_cdf(CHI2_MEDIAN, 1.0)
     assert got == pytest.approx(0.5, abs=1e-12)
     assert product_gaussian_cdf(2.0, 0.0) > product_gaussian_cdf(0.5, 0.0)
+
+
+@pytest.mark.parametrize("theta", [1e-6, 0.1, 0.36, 1.0, 5.0, 39.0])
+def test_cdf_rho_zero_matches_struve_closed_form(theta):
+    """The quadrature keeps the mass near 0 that a coarse lower cut-off drops."""
+    assert product_gaussian_cdf(theta, 0.0) == pytest.approx(
+        psi0_cdf_closed_form(theta), abs=1e-12
+    )
+
+
+def test_median_rho_zero_is_the_closed_form_root():
+    assert psi0_cdf_closed_form(PSI0_MEDIAN) == pytest.approx(0.5, abs=1e-15)
+    assert product_gaussian_median(0.0) == pytest.approx(PSI0_MEDIAN, abs=1e-10)
+
+
+@pytest.mark.parametrize("rho", [1.0 - 1e-12, -(1.0 - 1e-12)])
+@pytest.mark.parametrize("theta", [0.36, 2.0])
+def test_cdf_near_unit_correlation_approaches_chi_square(theta, rho):
+    """Near |rho| = 1 the density piles up at 0; the quadrature must keep it."""
+    assert product_gaussian_cdf(theta, rho) == pytest.approx(
+        math.erf(math.sqrt(theta / 2.0)), abs=1e-9
+    )
 
 
 def test_median_rho_one_hits_chi_square_median():

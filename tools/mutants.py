@@ -127,6 +127,8 @@ MUTANTS = [
            "apply_corruption takes any x_norm"),
     Mutant("median-xtol-1e-4", _Q, "2.0, xtol=1e-12)", "2.0, xtol=1e-4)",
            "the median oracle's root search stops at 1e-4"),
+    Mutant("cdf-eps-1e-10", _Q, "_CDF_EPS = 1e-30", "_CDF_EPS = 1e-10",
+           "the CDF quadrature drops the mass of (0, 1e-10]"),
     Mutant("upper-median", _Q,
            'return _order_statistic(_vector(values, "sample", finite=True), 0.5)',
            'return _order_statistic(_vector(values, "sample", finite=True), 0.5 + 1e-9)',
@@ -151,6 +153,10 @@ MUTANTS = [
     Mutant("seed-codes-reversed", _H, "code = list(Algorithm).index(algorithm)",
            "code = list(reversed(Algorithm)).index(algorithm)",
            "algorithm seed codes in reverse declaration order"),
+    Mutant("experiment-codes-reversed", _H,
+           "exp_code = list(EXPERIMENTS).index(cfg.experiment)",
+           "exp_code = list(reversed(EXPERIMENTS)).index(cfg.experiment)",
+           "experiment seed codes in reverse table order"),
     Mutant("csv-format-by-annotation", _H, '".17g" if f.type == "float" else ""',
            '".17g" if f.type is float else ""',
            "result columns formatted as if no field were declared float"),
