@@ -6,9 +6,11 @@ independent Gaussian rows a_i as
     y_i = (a_i . x)^2 + w_i + eta_i,
 
 optionally with the clean intensity replaced by a Poisson draw first.  The
-dense noise w is uniform on [0, w_max]; the sparse outliers eta hit a small
+dense noise w is uniform on [0, w_max); the sparse outliers eta hit a small
 set of indices and may be arbitrarily large.  Magnitudes are specified
 relative to the signal power ||x||^2 so experiments transfer across scales.
+A uniform magnitude is drawn as bound * U, U uniform on [0, 1); a bound that
+overflows gives non-finite measurements, which the spectral init refuses.
 
 Randomness.  Every stream is keyed by ``numpy.random.SeedSequence``.  The
 sensing ensemble draws from SFC64, which fills its m x n normals in about
@@ -195,24 +197,22 @@ def apply_corruption(
     clean = _vector(clean, "clean intensities", finite=True)
     if np.any(clean < 0.0):
         raise InvalidInputError("clean intensities must be nonnegative")
-    m = clean.size
-    s = spec.outlier_fraction
-
     _require_positive(x_norm, "x_norm")
 
+    m = clean.size
     rng = _rng(seed)
     signal_power = float(x_norm) ** 2
 
-    base = _poisson_draws(rng, clean) if spec.poisson else clean.copy()
+    base = _poisson_draws(rng, clean) if spec.poisson else clean
 
     w_max = spec.w_max_rel * signal_power
-    noise = rng.uniform(0.0, w_max, size=m) if w_max > 0.0 else np.zeros(m)
+    noise = w_max * rng.random(m) if w_max > 0.0 else np.zeros(m)
 
     y = base + noise
-    support = np.flatnonzero(rng.random(m) < s)  # drawn at s = 0 too
+    support = np.flatnonzero(rng.random(m) < spec.outlier_fraction)  # drawn at s = 0 too
     k = support.size  # the value draws come last, so k = 0 draws nothing
     if spec.outlier_model is OutlierModel.UNIFORM:
-        values = rng.uniform(0.0, spec.eta_max_rel * signal_power, size=k)
+        values = spec.eta_max_rel * signal_power * rng.random(k)
     elif spec.outlier_model is OutlierModel.NOISE_NORM:
         values = np.full(k, np.linalg.norm(noise))
     else:

@@ -225,8 +225,6 @@ def _screened_gradient(
     keep = None  # None: the statistic itself discards no sample
     if statistic == "mean":
         stat = float(resid.sum() / m)  # bitwise resid.mean()
-        if not math.isfinite(stat):  # a NaN would fail every E2 test and zero the gradient
-            raise InvalidInputError("residuals contain NaN or infinite entries")
     elif statistic == "trimmed":  # discard the ceil(s*m) largest residuals first
         if cfg.known_s is None:
             raise InvalidInputError("trimean-twf requires known_s")
@@ -237,6 +235,8 @@ def _screened_gradient(
         stat = float(resid[keep].sum() / n_untrimmed)
     else:
         stat = sample_median(resid)
+    if not math.isfinite(stat):  # a NaN or inf statistic makes every screen meaningless
+        raise InvalidInputError("residuals contain NaN or infinite entries")
 
     if loss == "intensity":
         abs_az = np.abs(az)
@@ -277,7 +277,7 @@ def trimean_twf_gradient(
     one more; screens the remainder with the usual two events around the
     trimmed-mean statistic.  The kept set is that of a stable sort (ties go
     to the lower index), found by one partition.  NaN and inf residuals
-    rank last and are trimmed first, not refused.
+    rank last and are trimmed first; one that survives the trim is refused.
     """
     return _screened_gradient(ensemble, y, z, cfg, "intensity", "trimmed")
 

@@ -636,6 +636,45 @@ def test_cli_single_crosses_s_and_eta_grids(tmp_path):
     assert pairs == [(0.0, 0.0), (0.0, 1.0), (0.1, 0.0), (0.1, 1.0)]
 
 
+def test_cli_trimean_under_huge_outliers_writes_no_infinite_error(tmp_path):
+    # One trial lets an infinite residual through the trim; its step must be
+    # refused (a failed row), not taken to an infinite error.
+    out = tmp_path / "sweep.csv"
+    assert cli_main(
+        ["outlier-sweep", "--n", "16", "--m", "128", "--s", "0.2", "--eta-max-rel", "1e250",
+         "--algos", "trimean-twf", "--trials", "8", "--seed", "3", "--max-iters", "100",
+         "--out", str(out)]
+    ) == 0
+    with out.open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 8
+    for r in rows:
+        err, failed = float(r["final_rel_err"]), (r["iterations"], r["success"]) == ("0", "0")
+        assert math.isfinite(err) or (math.isnan(err) and failed)
+
+
+@pytest.mark.parametrize("flags", [["--s", "0.1", "--eta-max-rel", "1e308"],
+                                   ["--w-max-rel", "1e308"]], ids=["eta", "w"])
+def test_cli_overflowing_magnitude_is_a_failed_row(tmp_path, flags):
+    # bound = rel * ||x||^2 overflows to inf: the draw gives non-finite
+    # measurements, which the init refuses, instead of an error escaping.
+    out = tmp_path / "single.csv"
+    argv = ["single", "--n", "64", "--m", "256", *flags, "--max-iters", "5"]
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    with out.open(newline="") as f:
+        (row,) = csv.DictReader(f)
+    assert math.isnan(float(row["final_rel_err"]))
+    assert (row["iterations"], row["success"]) == ("0", "0")
+
+
+def test_cli_noise_curve_with_overflowing_noise_exits_zero(tmp_path):
+    # Every trial fails, and a failed trial writes no per-iteration rows.
+    out = tmp_path / "noise.csv"
+    argv = ["noise-curve", "--n", "64", "--m", "256", "--w-max-rel", "1e307", "--max-iters", "5"]
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines() == [ITERATION_HEADER]
+
+
 def test_cli_help_exits_zero(capsys):
     assert cli_main(["phase-grid", "--help"]) == 0
     assert "usage" in capsys.readouterr().out

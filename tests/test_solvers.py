@@ -187,6 +187,19 @@ def test_trimmed_statistic_trims_a_nonfinite_measurement(bad):
     assert np.isfinite(g).all() and math.isfinite(stat) and 0 < kept < 64
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_trimmed_statistic_refuses_a_nonfinite_residual_the_trim_keeps(bad):
+    # known_s = 0.1 trims ceil(6.4) = 7 of 64 residuals, so one of 8 bad y_i
+    # survives.  Unchecked, an inf made the statistic and the gradient
+    # non-finite, and a NaN failed every E2 test and zeroed the gradient.
+    ens, x, y = _perfect_instance(n=8, m=64)
+    y = y.copy()
+    y[::8] = bad
+    cfg = SolverConfig(algorithm=Algorithm.TRIMEAN_TWF, known_s=0.1)
+    with pytest.raises(InvalidInputError, match="NaN or infinite"):
+        trimean_twf_gradient(ens, y, 1.01 * x, cfg)
+
+
 @pytest.mark.parametrize("fn, cfg", [
     (mtwf_gradient, MTWF),
     (twf_gradient, TWF),

@@ -82,6 +82,9 @@ MUTANTS = [
            "keep = resid < _ALPHA_H_PRIME * stat", "strict RWF screen"),
     Mutant("sign-zero-negative", _S, "np.where(az >= 0.0, sqrt_y, -sqrt_y)",
            "np.where(az > 0.0, sqrt_y, -sqrt_y)", "sign(0) = -1"),
+    Mutant("stat-check-mean-only", _S, "    if not math.isfinite(stat):",
+           '    if statistic == "mean" and not math.isfinite(stat):',
+           "only the mean statistic is checked for NaN and inf"),
     Mutant("trimmed-mean", _S, "stat = float(resid[keep].sum() / n_untrimmed)",
            "stat = float(resid[keep].mean())", ".mean() for the trimmed statistic",
            equivalent=True),
@@ -119,8 +122,12 @@ MUTANTS = [
     # Problem generation and statistics.
     Mutant("integer-outliers-floor", _M, "values = np.round(signal_power * rng.random(k))",
            "values = np.floor(signal_power * rng.random(k))", "floor for integer outliers"),
-    Mutant("placement-inclusive", _M, "np.flatnonzero(rng.random(m) < s)",
-           "np.flatnonzero(rng.random(m) <= s)", "<= in outlier placement", equivalent=True),
+    Mutant("placement-inclusive", _M, "rng.random(m) < spec.outlier_fraction",
+           "rng.random(m) <= spec.outlier_fraction", "<= in outlier placement", equivalent=True),
+    Mutant("uniform-outlier-draw", _M,
+           "values = spec.eta_max_rel * signal_power * rng.random(k)",
+           "values = rng.uniform(0.0, spec.eta_max_rel * signal_power, size=k)",
+           "Generator.uniform for outlier values: same bytes, raises on an overflowing bound"),
     Mutant("rows-unaligned", _M, "rows = buf[start : start + m * n]",
            "rows = buf[start + 1 : start + 1 + m * n]", "ensemble rows off the cache line"),
     Mutant("x-norm-unchecked", _M, '_require_positive(x_norm, "x_norm")', "pass",
