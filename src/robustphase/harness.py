@@ -22,6 +22,7 @@ its worker as one trace of arrays; the parent formats its rows.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -201,18 +202,27 @@ def _run_task(task: tuple[TrialCell, SolverConfig, int, bool, bool]) -> ResultRo
 
 
 def _execute(tasks: list[tuple], threads: int) -> list:
-    # executor.map preserves input order, so results are already in the
-    # canonical (cell, algorithm, trial) order regardless of scheduling.
-    if threads <= 1 or len(tasks) <= 1:
-        return [_run_task(t) for t in tasks]
-    # Imported here: the pool's modules add about 16 ms to every import.
-    from concurrent.futures import ProcessPoolExecutor
-
+    # Largest problem (m * n) first, ties in canonical order (a stable sort):
+    # the smaller ensembles then reuse the heap the largest one freed, so the
+    # peak holds one ensemble, not one of each size.  Each result goes back
+    # to its canonical (cell, algorithm, trial) index.
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0].m * tasks[i][0].n)
+    scheduled = [tasks[i] for i in order]
     # With fork, the pool starts every worker at the first submit, so never
-    # ask for more workers than there are tasks.
-    workers = min(threads, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_task, tasks))
+    # ask for more workers than there are tasks or CPUs.
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        done = [_run_task(t) for t in scheduled]
+    else:
+        # Imported here: the pool's modules add about 16 ms to every import.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_task, scheduled))
+    results = [None] * len(tasks)
+    for i, result in zip(order, done):
+        results[i] = result
+    return results
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow] | list[_Trial]:

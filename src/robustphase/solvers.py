@@ -241,7 +241,7 @@ def _screened_gradient(
     if loss == "intensity":
         abs_az = np.abs(az)
         passed = (abs_az >= _ALPHA_L * z_norm) & (abs_az <= _ALPHA_U * z_norm)
-        passed &= resid <= _ALPHA_H * stat * abs_az / z_norm
+        passed &= resid <= _ALPHA_H * stat * (abs_az / z_norm)
         keep = passed if keep is None else keep & passed
         coeff = np.divide(misfit, az, out=np.zeros(m), where=keep)
     else:

@@ -467,9 +467,11 @@ def test_run_experiment_tags_and_seeds_come_from_cfg_experiment(exp_id):
     ]
 
 
-def test_pool_never_starts_more_workers_than_tasks(monkeypatch):
-    # A fork-based pool starts all max_workers processes at the first
-    # submit; a serial stand-in records the count without starting any.
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the process pool with a serial stand-in; return the list of
+    worker counts it was asked for.  A fork-based pool starts all
+    max_workers processes at the first submit; the stand-in starts none."""
     started = []
 
     class SerialPool:
@@ -486,14 +488,66 @@ def test_pool_never_starts_more_workers_than_tasks(monkeypatch):
             return map(fn, iterable)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    return started
+
+
+def test_pool_never_starts_more_workers_than_tasks(serial_pool, monkeypatch):
+    # Nor more than os.cpu_count(), which may be None.  A cap of 1 runs
+    # in-process, as threads=1 does.
     cfg = ExperimentConfig(
         experiment="single", n_values=(8,), m_values=(24,), m_over_n=None,
         trials=3, threads=64, max_iters=2,
     )
-    rows = run_experiment(cfg)
-    assert started == [3]
-    assert rows == run_experiment(replace(cfg, threads=1))
-    assert started == [3]  # one thread runs in-process
+    in_process = run_experiment(replace(cfg, threads=1))
+    assert serial_pool == []
+    for cpus, started in ((8, [3]), (2, [2]), (1, []), (None, [])):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        serial_pool.clear()
+        assert run_experiment(cfg) == in_process
+        assert serial_pool == started, cpus
+
+
+# n in (8, 16) by m in (32, 64): m * n is 256, 512, 512, 1024 in canonical
+# cell order, and (8, 64) ties with (16, 32).
+MIXED_GRID = ExperimentConfig(
+    experiment="phase_grid", n_values=(8, 16), m_values=(32, 64), m_over_n=None,
+    algorithms=(Algorithm.MEDIAN_TWF, Algorithm.MEAN_TWF), trials=2, master_seed=5,
+    max_iters=2,
+)
+
+
+def _canonical_seeds(cfg):
+    exp_code = EXPERIMENT_CODES[cfg.experiment]
+    cells = [(n, m) for n in cfg.n_values for m in cfg.m_values]
+    return [
+        ((n, m), derive_seed(cfg.master_seed, exp_code, cell, SEED_CODES[a], trial))
+        for cell, (n, m) in enumerate(cells)
+        for a in cfg.algorithms
+        for trial in range(cfg.trials)
+    ]
+
+
+def test_trials_run_largest_problem_first_and_ties_keep_canonical_order(monkeypatch):
+    calls = []
+
+    def record(cell, cfg, trial_seed, timing=False):
+        calls.append(((cell.n, cell.m), trial_seed))
+        return run_trial(cell, cfg, trial_seed, timing)
+
+    monkeypatch.setattr("robustphase.harness.run_trial", record)
+    run_experiment(MIXED_GRID)
+    seeds = _canonical_seeds(MIXED_GRID)
+    run_order = [(16, 64), (8, 64), (16, 32), (8, 32)]  # the tie in canonical order
+    assert calls == [(dims, seed) for want in run_order for dims, seed in seeds if dims == want]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_results_come_back_in_canonical_order(serial_pool, monkeypatch, threads):
+    # threads=2 takes the pool path through the serial stand-in.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    rows = run_experiment(replace(MIXED_GRID, threads=threads))
+    assert [((r.n, r.m), r.seed) for r in rows] == _canonical_seeds(MIXED_GRID)
+    assert serial_pool == ([2] if threads == 2 else [])
 
 
 def test_harness_import_leaves_the_process_pool_unloaded():
@@ -768,7 +822,7 @@ def _cells(tag, ns, ratios, s=0.0, eta=0.0, w=0.0):
 
 TWF3 = ("median-twf", "median-rwf", "twf")
 
-# subcommand -> ([(cell, algorithms)] in run order, trials per cell and algorithm)
+# subcommand -> ([(cell, algorithms)] in CSV row order, trials per cell and algorithm)
 CLI_DEFAULTS = {
     "single": ([(c, ("median-twf",)) for c in _cells("single", [64], [6])], 1),
     "phase-grid": (
@@ -801,34 +855,39 @@ CLI_DEFAULTS = {
 
 @pytest.mark.parametrize("name", sorted(CLI_DEFAULTS))
 def test_cli_subcommand_defaults(name, tmp_path, monkeypatch):
-    calls = []
+    calls = {}  # trial seed -> (cell key, algorithm, solver settings)
 
     def record(cell, cfg, trial_seed, timing=False):
         c = cell.corruption
         key = (cell.experiment_id, cell.n, cell.m, c.outlier_fraction, c.eta_max_rel,
                c.w_max_rel)
         settings = (cfg.fixed_iterations, cfg.max_iters, cfg.success_tol, timing)
-        calls.append((key, cfg.algorithm.value, settings))
+        calls[trial_seed] = (key, cfg.algorithm.value, settings)
         row = ResultRow(cell.experiment_id, cfg.algorithm.value, cell.n, cell.m,
                         c.outlier_fraction, c.eta_max_rel, c.w_max_rel, trial_seed,
                         0, 0.0, 0, 0.0)
-        return row, None
+        return row, _trace([0.0], [0], [0.0])  # one iteration row per trial
 
     monkeypatch.setattr("robustphase.harness.run_trial", record)
     monkeypatch.chdir(tmp_path)
     assert cli_main([name]) == 0
-    assert (tmp_path / f"{name}.csv").exists()
 
+    # The cell order is the order of the rows written, not of the calls made.
+    with open(tmp_path / f"{name}.csv", newline="", encoding="utf-8") as fh:
+        written = list(csv.DictReader(fh))
+    assert len(written) == len(calls)
     expected_cells, trials = CLI_DEFAULTS[name]
     cells = []
-    for key, algo, _ in calls:
+    for r in written:
+        key, algo, _ = calls[int(r["seed"])]
+        assert (r["experiment"], int(r["n"]), int(r["m"]), r["algorithm"]) == (*key[:3], algo)
         if not cells or cells[-1][0] != key:
             cells.append((key, []))
         if algo not in cells[-1][1]:
             cells[-1][1].append(algo)
     assert [(k, tuple(a)) for k, a in cells] == expected_cells
-    assert set(Counter((key, algo) for key, algo, _ in calls).values()) == {trials}
-    assert {settings for _, _, settings in calls} == {(True, 500, 1e-8, False)}
+    assert set(Counter((key, algo) for key, algo, _ in calls.values()).values()) == {trials}
+    assert {settings for _, _, settings in calls.values()} == {(True, 500, 1e-8, False)}
 
 
 def test_cli_rejects_unknown_flag():

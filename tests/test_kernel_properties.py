@@ -190,7 +190,7 @@ def _reference_gradient(ensemble, y, z, cfg, loss, statistic):
     if loss == "intensity":
         abs_az = np.abs(az)
         e1 = (abs_az >= 0.3 * z_norm) & (abs_az <= 5.0 * z_norm)
-        e2 = resid <= 12.0 * stat * abs_az / z_norm
+        e2 = resid <= 12.0 * stat * (abs_az / z_norm)
         keep = active & e1 & e2
         coeff[keep] = (az[keep] ** 2 - y[keep]) / az[keep]
     else:
@@ -237,6 +237,22 @@ def test_kernel_matches_reference_bit_for_bit(name, instance):
     assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
     assert kept == ref_kept
     assert np.float64(stat).tobytes() == np.float64(ref_stat).tobytes()
+
+
+def test_e2_threshold_stays_finite_at_huge_residuals():
+    # E2_EDGE with z scaled by c = 2^500 and y by c^2: residuals near 1e301
+    # and |a.z| near 3e150.  Their product overflows, but the threshold
+    # alpha_h * M * (|a.z| / ||z||) stays finite and still screens out the
+    # residual 12.25 c^2 above it, so every output scales by c or c^2 exactly.
+    ensemble, y, z, _ = E2_EDGE
+    c = 2.0**500
+    fn, cfg, _ = KERNELS["median-twf"]
+    grad, kept, stat = fn(ensemble, y, z, cfg)
+    with np.errstate(over="raise"):
+        big_grad, big_kept, big_stat = fn(ensemble, c * c * y, c * z, cfg)
+    assert kept == big_kept == 7
+    assert big_stat == c * c * stat
+    assert big_grad.tobytes() == (c * grad).tobytes()
 
 
 def _at_byte_offset(rows, offset):

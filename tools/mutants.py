@@ -75,7 +75,7 @@ MUTANTS = [
     Mutant("e1-lower-strict", _S, "(abs_az >= _ALPHA_L * z_norm)", "(abs_az > _ALPHA_L * z_norm)",
            "strict E1 lower bound"),
     Mutant("e2-no-factor", _S,
-           "passed &= resid <= _ALPHA_H * stat * abs_az / z_norm",
+           "passed &= resid <= _ALPHA_H * stat * (abs_az / z_norm)",
            "passed &= resid <= _ALPHA_H * stat",
            "E2 without its |a.z| / ||z|| factor"),
     Mutant("rwf-screen-strict", _S, "keep = resid <= _ALPHA_H_PRIME * stat",
@@ -164,6 +164,11 @@ MUTANTS = [
            "exp_code = list(EXPERIMENTS).index(cfg.experiment)",
            "exp_code = list(reversed(EXPERIMENTS)).index(cfg.experiment)",
            "experiment seed codes in reverse table order"),
+    Mutant("schedule-smallest-first", _H, "key=lambda i: -tasks[i][0].m * tasks[i][0].n",
+           "key=lambda i: tasks[i][0].m * tasks[i][0].n",
+           "trials run smallest problem first"),
+    Mutant("schedule-not-restored", _H, "    return results\n", "    return done\n",
+           "results returned in run order, not canonical order"),
     Mutant("csv-format-by-annotation", _H, '".17g" if f.type == "float" else ""',
            '".17g" if f.type is float else ""',
            "result columns formatted as if no field were declared float"),
