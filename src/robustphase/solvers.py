@@ -70,6 +70,7 @@ __all__ = [
 _STATIONARY = 2.0**-50
 # Screening thresholds alpha_l, alpha_u, alpha_h, alpha_h', fixed like mu.
 _ALPHA_L, _ALPHA_U, _ALPHA_H, _ALPHA_H_PRIME = 0.3, 5.0, 12.0, 5.0
+_ERROR_BLOCK = 64  # a fixed-budget run computes its errors this many iterates at a time
 
 
 class Algorithm(str, Enum):
@@ -332,15 +333,15 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
     ``cfg.fixed_iterations`` no error stops it: a stationary iterate is
     held, and its row repeats up to ``max_iters``, so the trace always has
     ``max_iters`` + 1 rows and ``final_z`` is the held iterate.  No stop
-    test then reads an error, so one ``relative_error`` call over the
-    stacked iterates gives them all after the loop.  Measurements too
+    test then reads an error, so ``relative_error`` takes the iterates
+    ``_ERROR_BLOCK`` at a time from one reused buffer.  Measurements too
     degenerate to initialize from (all-zero y, say) raise
     ``DegenerateMeasurements`` from the init.
     """
     x, ensemble, y = problem.signal, problem.ensemble, problem.measurements.y
     gradient_fn, _, mu = _recipe(cfg.algorithm)
     z = _initialize(problem, cfg).z0
-    iterates: list[np.ndarray] = []
+    block = np.empty((_ERROR_BLOCK, x.size)) if cfg.fixed_iterations else None
     errors: list[float] = []
     kept: list[int] = []
     stats: list[float] = []
@@ -348,8 +349,10 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
         gradient, n_kept, stat = gradient_fn(ensemble, y, z, cfg)
         kept.append(n_kept)
         stats.append(stat)
-        if cfg.fixed_iterations:  # errors come from one call after the loop
-            iterates.append(z)
+        if cfg.fixed_iterations:  # errors come from one call per full block
+            block[t % _ERROR_BLOCK] = z
+            if t % _ERROR_BLOCK == _ERROR_BLOCK - 1:
+                errors += relative_error(block, x).tolist()
         else:  # the stop test needs each error now
             errors.append(relative_error(z, x))
             if errors[-1] <= cfg.success_tol:
@@ -357,8 +360,8 @@ def run_solver(problem: ProblemInstance, cfg: SolverConfig) -> IterateTrace:
         if t == cfg.max_iters or _norm(gradient) <= _STATIONARY * _norm(z):
             break
         z = z - mu * gradient
-    if cfg.fixed_iterations:  # one error call; a held iterate's row repeats to the budget
-        errors = relative_error(np.stack(iterates), x).tolist()
+    if cfg.fixed_iterations:  # the partial block; a held iterate's row repeats to the budget
+        errors += relative_error(block[: len(kept) % _ERROR_BLOCK], x).tolist()
         for column in (errors, kept, stats):
             column += column[-1:] * (cfg.max_iters + 1 - len(column))
     hits = np.flatnonzero(np.asarray(errors) <= cfg.success_tol)

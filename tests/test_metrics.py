@@ -117,6 +117,22 @@ def test_relative_error_of_a_stack_with_nonfinite_rows():
     assert math.isnan(errors[0]) and errors[1] == math.inf
 
 
+def test_relative_error_of_an_empty_stack_is_an_empty_array():
+    # A fixed-budget run's last block of iterates can be empty.
+    errors = relative_error(np.empty((0, 3)), np.array([3.0, -4.0, 1.0]))
+    assert errors.shape == (0,) and errors.dtype == np.float64
+
+
+def test_relative_error_leaves_its_arguments_unwritten():
+    rng = np.random.Generator(np.random.Philox(key=95))
+    x = rng.standard_normal(16)
+    for z in (x + rng.standard_normal(16), rng.standard_normal((5, 16))):
+        z_before, x_before = z.copy(), x.copy()
+        relative_error(z, x)
+        assert z.tobytes() == z_before.tobytes()
+        assert x.tobytes() == x_before.tobytes()
+
+
 def test_relative_error_rejects_bad_stacks():
     x = np.ones(3)
     for z, sig in ((np.ones((2, 2, 3)), x), (np.ones((2, 4)), x), (np.ones((2, 3)), np.ones((1, 3)))):

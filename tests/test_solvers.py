@@ -8,6 +8,7 @@ the sign-flip rate live in ``test_acceptance.py`` (criterion 7) alone.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -520,6 +521,52 @@ def test_fixed_budget_errors_after_the_loop_match_the_reference(algorithm):
     early = run_solver(problem, _trimmed_if_needed(algorithm))
     assert early.converged_at == early.iterations == converged_at
     assert early.errors.tobytes() == trace.errors[: converged_at + 1].tobytes()
+
+
+# (algorithm, budget, iterates visited): budgets around the error blocks'
+# edges, and a hold at t = 90, in the middle of the second block.
+BLOCK_EDGE_RUNS = [
+    (Algorithm.MEDIAN_TWF, 62, 63),
+    (Algorithm.MEDIAN_TWF, 63, 64),
+    (Algorithm.MEDIAN_TWF, 64, 65),
+    (Algorithm.MEDIAN_TWF, 128, 129),
+    (Algorithm.MEDIAN_RWF, 500, 91),
+]
+
+
+@pytest.mark.parametrize("algorithm, max_iters, visited", BLOCK_EDGE_RUNS)
+def test_fixed_budget_errors_across_block_edges_match_the_reference(
+    algorithm, max_iters, visited
+):
+    problem = generate_problem(**OUTLIER_PROBLEM)
+    cfg = SolverConfig(algorithm=algorithm, max_iters=max_iters, fixed_iterations=True)
+    errors, kept, stats, final_z, converged_at, held_at = _reference_run(problem, cfg)
+    assert (max_iters if held_at is None else held_at) + 1 == visited
+    trace = run_solver(problem, cfg)
+    assert trace.errors.tobytes() == errors.tobytes()
+    assert trace.kept.tobytes() == kept.tobytes()
+    assert trace.median_stat.tobytes() == stats.tobytes()
+    assert trace.final_z.tobytes() == final_z.tobytes()
+    assert trace.converged_at == converged_at
+
+
+def test_fixed_budget_trace_memory_does_not_grow_with_the_budget(monkeypatch):
+    # With no stationarity rule nothing holds, so every budget visits every
+    # iterate; what a trace keeps per iterate is its three scalars, not z.
+    monkeypatch.setattr(solvers_module, "_STATIONARY", 0.0)
+    problem = generate_problem(**OUTLIER_PROBLEM)
+
+    def traced_peak(max_iters):
+        cfg = SolverConfig(algorithm=Algorithm.MEDIAN_TWF, max_iters=max_iters,
+                           fixed_iterations=True)
+        tracemalloc.start()
+        try:
+            assert run_solver(problem, cfg).iterations == max_iters
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(2000) - traced_peak(200) < 512 * 1024
 
 
 def test_converged_at_is_the_first_error_at_or_below_the_tolerance():

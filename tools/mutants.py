@@ -13,7 +13,8 @@ It prints one line per mutant (killed or survived, the first failing test and
 the seconds taken) and exits 1 when a mutant not marked equivalent survives
 or when a replacement no longer applies.  A change that deletes a mutant's
 code updates its entry here.  Run it from the repository root, with every
-mutant or with the ids given (about ten minutes for all of them):
+mutant or with the ids given (about seventeen minutes for all of them on
+two cores):
 
     python tools/mutants.py
     python tools/mutants.py lanczos-tol relative-error-max
@@ -102,6 +103,12 @@ MUTANTS = [
            "if errors[-1] < cfg.success_tol:", "strict early-stop test"),
     Mutant("converged-at-strict", _S, "np.asarray(errors) <= cfg.success_tol",
            "np.asarray(errors) < cfg.success_tol", "strict converged_at"),
+    Mutant("error-flush-early", _S, "if t % _ERROR_BLOCK == _ERROR_BLOCK - 1:",
+           "if t % _ERROR_BLOCK == _ERROR_BLOCK - 2:",
+           "a block of iterates is flushed one row before it is full"),
+    Mutant("error-partial-short", _S, "block[: len(kept) % _ERROR_BLOCK]",
+           "block[: len(kept) % _ERROR_BLOCK - 1]",
+           "the partial last block drops its last row"),
     # The spectral init.
     Mutant("calibration-0.4549", _SP, "MEDIAN_INTENSITY_CALIBRATION = 0.455",
            "MEDIAN_INTENSITY_CALIBRATION = 0.4549", "median calibration off by 1e-4"),
@@ -143,6 +150,10 @@ MUTANTS = [
     # Metrics.
     Mutant("relative-error-max", _MT, "np.where(pn < dn, pn, dn)", "np.where(pn < dn, dn, pn)",
            "max(||z - x||, ||z + x||) in relative_error"),
+    Mutant("plus-from-diff-buffer", _MT, "np.add(z, x, out=d)", "np.add(d, x, out=d)",
+           "z + x computed from the z - x buffer, not from z"),
+    Mutant("plus-written-into-z", _MT, "np.add(z, x, out=d)", "np.add(z, x, out=z)",
+           "z + x written into the caller's z"),
     Mutant("is-success-strict", _MT, "return outcome_error <= tol",
            "return outcome_error < tol", "strict is_success"),
     # Input rules.
